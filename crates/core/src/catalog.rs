@@ -102,7 +102,6 @@ mod tests {
     use super::*;
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
-    use dcd_storage::EdbRead;
 
     fn plan_for(src: &str) -> PhysicalPlan {
         plan(

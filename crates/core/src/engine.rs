@@ -5,11 +5,12 @@ use crate::config::EngineConfig;
 use crate::report::EvalReport;
 use crate::store::WorkerStore;
 use crate::worker::{Coordination, Worker, WorkerStats};
-use dcd_common::hash::{FastMap, FastSet};
+use dcd_common::hash::FastMap;
 use dcd_common::{DcdError, Result, Tuple, Value};
 use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{plan, PhysicalPlan, PlannerConfig, StorageKind};
 use dcd_frontend::{analyze, parse_program, AnalyzedProgram};
+use dcd_storage::SetRelation;
 use std::time::{Duration, Instant};
 
 /// A parsed and analyzed Datalog program plus its parameters.
@@ -291,30 +292,39 @@ impl Engine {
         })
     }
 
-    /// Merges per-worker stores into global relations. Multi-route and
-    /// broadcast relations hold replicas that have converged to identical
-    /// values, so grouping dedup is safe.
-    fn collect(&self, stores: Vec<WorkerStore>) -> FastMap<String, Vec<Tuple>> {
+    /// Merges per-worker stores into global relations. A set relation
+    /// routed by one column, not broadcast, holds each row on exactly one
+    /// worker, so its per-worker arenas are moved out and concatenated.
+    /// Multi-route and broadcast relations hold replicas that have
+    /// converged to identical values, so grouping dedup is safe.
+    fn collect(&self, mut stores: Vec<WorkerStore>) -> FastMap<String, Vec<Tuple>> {
         let mut out: FastMap<String, Vec<Tuple>> = FastMap::default();
         for decl in self.plan.idb.iter().flatten() {
-            let mut rows: Vec<Tuple> = Vec::new();
-            match &decl.kind {
+            let mut parts = stores.iter_mut().map(|st| {
+                st.idb[decl.id]
+                    .take()
+                    .expect("IDB relation present")
+                    .into_rows()
+            });
+            let rows = match &decl.kind {
+                StorageKind::Set if !decl.broadcast && decl.partition_cols.len() == 1 => {
+                    let mut rows = parts.next().unwrap_or_default();
+                    parts.for_each(|p| rows.extend(p));
+                    rows
+                }
                 StorageKind::Set => {
-                    let mut seen: FastSet<Tuple> = FastSet::default();
-                    for st in &stores {
-                        for row in st.rec(decl.id).rows() {
-                            if seen.insert(row.clone()) {
-                                rows.push(row);
-                            }
-                        }
-                    }
+                    let mut all = SetRelation::with_index_cols(&[]);
+                    parts.for_each(|p| {
+                        all.insert_batch(&p);
+                    });
+                    all.into_rows()
                 }
                 StorageKind::Agg {
                     func, group_cols, ..
                 } => {
                     let mut best: FastMap<Vec<Value>, Value> = FastMap::default();
-                    for st in &stores {
-                        for row in st.rec(decl.id).rows() {
+                    for part in parts {
+                        for row in part {
                             let group = row.values()[..*group_cols].to_vec();
                             let val = row.values()[*group_cols];
                             best.entry(group)
@@ -333,12 +343,14 @@ impl Engine {
                                 .or_insert(val);
                         }
                     }
-                    rows.extend(best.into_iter().map(|(mut g, v)| {
-                        g.push(v);
-                        Tuple::new(&g)
-                    }));
+                    best.into_iter()
+                        .map(|(mut g, v)| {
+                            g.push(v);
+                            Tuple::new(&g)
+                        })
+                        .collect()
                 }
-            }
+            };
             out.insert(decl.name.clone(), rows);
         }
         out

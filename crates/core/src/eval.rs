@@ -17,12 +17,11 @@
 //! (probe memoization). [`Evaluator::eval_delta`] is the tuple-at-a-time
 //! reference the differential tests pin the kernel against.
 
-use crate::store::WorkerStore;
+use crate::store::{Bucket, WorkerStore};
 use dcd_common::{Tuple, Value, WorkerId};
 use dcd_frontend::physical::{
     BindAction, CompiledRule, PhysicalPlan, Placement, Probe, RelId, Step, Target,
 };
-use dcd_storage::EdbRead;
 
 /// A pending delta row: `(relation, route, logical row)`.
 pub type DeltaRow = (RelId, u8, Tuple);
@@ -99,14 +98,6 @@ impl EvalScratch {
     pub fn new() -> Self {
         EvalScratch::default()
     }
-}
-
-/// The memoized bucket of the batched kernel's first probe.
-enum Bucket<'a> {
-    /// A recursive relation's index bucket.
-    Idb(&'a [Tuple]),
-    /// A base relation's row ids plus the row store to resolve them.
-    Edb { rows: &'a [Tuple], ids: &'a [u32] },
 }
 
 /// Evaluation context shared by one worker.
@@ -207,8 +198,8 @@ impl Evaluator<'_> {
         order.sort_by_key(|&(k, _)| k);
 
         // Pass 2: walk the clustered rows; descend the index only when the
-        // key changes. The store is immutable for the whole local
-        // iteration, so the bucket borrow stays valid across rows.
+        // key changes. The store is immutable for the whole call, so the
+        // bucket borrow stays valid across rows.
         let mut cached: Option<(u64, Bucket<'_>)> = None;
         for &(key_bits, i) in order.iter() {
             let (_, _, row) = &batch[i as usize];
@@ -223,32 +214,20 @@ impl Evaluator<'_> {
                 Some((k, _)) if *k == key_bits => *probe_reuse += 1,
                 _ => {
                     *probe_hits += 1;
-                    let bucket = match step.target {
-                        Target::Idb { rel, .. } => {
-                            Bucket::Idb(store.rec(rel).probe(*col, key_bits))
-                        }
-                        Target::Edb(rel) => {
-                            let base = store.base(rel);
-                            Bucket::Edb {
-                                rows: base.rows(),
-                                ids: base.probe_ids(*col, key_bits),
-                            }
-                        }
-                    };
-                    cached = Some((key_bits, bucket));
+                    cached = Some((key_bits, store.probe(step.target, *col, key_bits)));
                 }
             }
             let (_, bucket) = cached.as_ref().expect("bucket cached above");
-            match bucket {
-                Bucket::Idb(rows) => {
-                    for cand in *rows {
+            match *bucket {
+                Bucket::Rows(rows) => {
+                    for cand in rows {
                         if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
                             self.run_steps(rule, store, 1, regs, &mut counting);
                         }
                     }
                 }
-                Bucket::Edb { rows, ids } => {
-                    for &id in *ids {
+                Bucket::Ids { rows, ids } => {
+                    for &id in ids {
                         let cand = &rows[id as usize];
                         if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
                             self.run_steps(rule, store, 1, regs, &mut counting);
@@ -305,25 +284,26 @@ impl Evaluator<'_> {
         }
         let step = &rule.steps[k];
         match (&step.probe, step.target) {
-            (Probe::Index { col, key }, Target::Edb(rel)) => {
+            (Probe::Index { col, key }, target) => {
+                // Derived rows are buffered and merged only after the
+                // call returns, so the bucket can be borrowed directly;
+                // binds re-verify the probe column exactly.
                 let key_bits = key.eval(regs).key_bits();
-                // The candidate list borrows the store; binds re-verify the
-                // probe column exactly.
-                let base = store.base(rel);
-                for row in base.probe(*col, key_bits) {
-                    if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                        self.run_steps(rule, store, k + 1, regs, sink);
+                match store.probe(target, *col, key_bits) {
+                    Bucket::Rows(rows) => {
+                        for row in rows {
+                            if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
+                                self.run_steps(rule, store, k + 1, regs, sink);
+                            }
+                        }
                     }
-                }
-            }
-            (Probe::Index { col, key }, Target::Idb { rel, .. }) => {
-                let key_bits = key.eval(regs).key_bits();
-                // The store is immutable for the whole local iteration
-                // (derived rows are buffered and merged afterwards), so the
-                // bucket can be borrowed directly.
-                for row in store.rec(rel).probe(*col, key_bits) {
-                    if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                        self.run_steps(rule, store, k + 1, regs, sink);
+                    Bucket::Ids { rows, ids } => {
+                        for &id in ids {
+                            let row = &rows[id as usize];
+                            if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
+                                self.run_steps(rule, store, k + 1, regs, sink);
+                            }
+                        }
                     }
                 }
             }

@@ -5,15 +5,17 @@
 //! taken from the shared [`EdbCatalog`](crate::catalog::EdbCatalog)
 //! (replicated relations point at the *same* sealed allocation on every
 //! worker; partitioned relations at this worker's slice) and a [`RecStore`]
-//! per derived relation combining the Gather merge logic (§5.2.2), the
-//! aggregate-aware index (§6.2.1) and the existence-check cache (§6.2.2).
+//! per derived relation. A set relation is one [`SetRelation`] arena that
+//! merges, probes and scans by itself; an aggregate relation combines the
+//! Gather merge logic (§5.2.2), the aggregate-aware index (§6.2.1), the
+//! existence-check cache (§6.2.2) and secondary probe indexes.
 
 use crate::catalog::EdbCatalog;
 use dcd_common::{Tuple, Value, WorkerId};
 use dcd_frontend::ast::AggFunc;
-use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
+use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
 use dcd_storage::{
-    AggCache, AggFunc as StAggFunc, AggRelation, BPlusTree, SealedRelation, SetRelation, TupleCache,
+    AggCache, AggFunc as StAggFunc, AggRelation, BPlusTree, SealedRelation, SetRelation,
 };
 use std::sync::Arc;
 
@@ -26,12 +28,26 @@ pub enum Merged {
     Old,
 }
 
-/// Secondary probe index: column → bucket of current logical rows.
+/// The rows one index probe matched.
+#[derive(Clone, Copy, Debug)]
+pub enum Bucket<'a> {
+    /// Row ids resolved against a row store: base and set relations.
+    Ids {
+        /// The relation's rows, indexed by row id.
+        rows: &'a [Tuple],
+        /// Ids of the matching rows.
+        ids: &'a [u32],
+    },
+    /// The matching logical rows of an aggregate relation.
+    Rows(&'a [Tuple]),
+}
+
+/// Secondary probe index of an aggregate relation: column → bucket of
+/// current logical rows. Rows with equal leading `group_cols` replace
+/// each other.
 struct SecondaryIndex {
     col: usize,
     map: BPlusTree<Vec<Tuple>>,
-    /// For aggregate relations, rows with equal leading `group_cols`
-    /// replace each other; `usize::MAX` disables replacement (set rels).
     group_cols: usize,
 }
 
@@ -39,16 +55,14 @@ impl SecondaryIndex {
     fn upsert(&mut self, row: &Tuple) {
         let key = row.key(self.col);
         let bucket = self.map.or_insert_with(key, Vec::new);
-        if self.group_cols != usize::MAX {
-            if let Some(slot) = bucket
-                .iter_mut()
-                .find(|r| r.values()[..self.group_cols] == row.values()[..self.group_cols])
-            {
-                *slot = row.clone();
-                return;
-            }
+        let g = self.group_cols;
+        match bucket
+            .iter_mut()
+            .find(|r| r.values()[..g] == row.values()[..g])
+        {
+            Some(slot) => *slot = row.clone(),
+            None => bucket.push(row.clone()),
         }
-        bucket.push(row.clone());
     }
 
     fn probe(&self, key: u64) -> &[Tuple] {
@@ -56,92 +70,111 @@ impl SecondaryIndex {
     }
 }
 
-/// Store for one derived relation on one worker.
-pub struct RecStore {
-    kind: StorageKind,
-    set: Option<SetRelation>,
-    agg: Option<AggRelation>,
+/// An aggregate relation with its cache and secondary indexes.
+pub struct AggStore {
+    rel: AggRelation,
+    func: AggFunc,
+    group_cols: usize,
     secondary: Vec<SecondaryIndex>,
-    tuple_cache: Option<TupleCache>,
-    agg_cache: Option<AggCache>,
-    /// §6.2 optimizations enabled? When off, aggregate merges locate their
-    /// group by a linear scan (the pre-optimization behaviour of §6.2.1)
-    /// and the caches are bypassed.
+    cache: Option<AggCache>,
+    /// §6.2 optimizations enabled? When off, merges locate their group by
+    /// a linear scan (the pre-optimization behaviour of §6.2.1) and the
+    /// cache is bypassed.
     optimized: bool,
+}
+
+impl AggStore {
+    fn merge(&mut self, row: &Tuple) -> Merged {
+        let (func, group_cols) = (self.func, self.group_cols);
+        // Cache pre-check (min/max only): prune non-improving rows
+        // without touching the B+-tree.
+        if let Some(cache) = &mut self.cache {
+            let group = row.prefix(group_cols);
+            if let Some(cached) = cache.get(&group) {
+                let candidate = row.values()[group_cols];
+                let non_improving = match func {
+                    AggFunc::Min => candidate >= cached,
+                    AggFunc::Max => candidate <= cached,
+                    _ => false,
+                };
+                if non_improving {
+                    return Merged::Old;
+                }
+            }
+        }
+        if !self.optimized {
+            // Pre-§6.2.1 behaviour: locate the group with a linear scan of
+            // the relation before merging.
+            let group_vals = &row.values()[..group_cols];
+            let mut _found = false;
+            for logical in self.rel.iter() {
+                if &logical.values()[..group_cols] == group_vals {
+                    _found = true;
+                    break;
+                }
+            }
+        }
+        match self.rel.merge(row) {
+            dcd_storage::aggregate::MergeOutcome::Updated(logical) => {
+                if let Some(cache) = &mut self.cache {
+                    let group = logical.prefix(group_cols);
+                    cache.record(&group, logical.values()[group_cols]);
+                }
+                for idx in &mut self.secondary {
+                    idx.upsert(&logical);
+                }
+                Merged::New(logical)
+            }
+            dcd_storage::aggregate::MergeOutcome::Unchanged => Merged::Old,
+        }
+    }
+}
+
+/// Store for one derived relation on one worker.
+pub enum RecStore {
+    /// A set relation: the arena merges, probes and scans by itself.
+    Set(SetRelation),
+    /// An aggregate relation.
+    Agg(AggStore),
 }
 
 impl RecStore {
     /// Creates the store for `rel` as declared in `plan`.
     pub fn new(plan: &PhysicalPlan, rel: RelId, optimized: bool, cache_slots: usize) -> Self {
         let decl = plan.idb[rel].as_ref().expect("IDB relation");
-        let mut secondary: Vec<SecondaryIndex> = Vec::new();
-        let (set, agg, tuple_cache, agg_cache, sec_group);
         match &decl.kind {
-            StorageKind::Set => {
-                let key_col = decl.partition_cols[0];
-                set = Some(SetRelation::new(key_col));
-                agg = None;
-                tuple_cache = optimized.then(|| TupleCache::new(cache_slots));
-                agg_cache = None;
-                sec_group = usize::MAX;
-                // The primary set index covers `key_col`; extra probe
-                // columns get secondaries.
-                for &c in &decl.index_cols {
-                    if c != key_col {
-                        secondary.push(SecondaryIndex {
-                            col: c,
-                            map: BPlusTree::new(),
-                            group_cols: sec_group,
-                        });
-                    }
-                }
-            }
+            // Postings only on the columns rules probe: a relation that is
+            // only ever a delta (TC's `tc`) keeps no index at all.
+            StorageKind::Set => RecStore::Set(SetRelation::with_index_cols(&decl.index_cols)),
             StorageKind::Agg {
                 func,
                 group_cols,
                 epsilon,
-            } => {
-                set = None;
-                agg = Some(AggRelation::new(
-                    to_storage_func(*func),
-                    *group_cols,
-                    *epsilon,
-                ));
-                tuple_cache = None;
-                agg_cache = (optimized && matches!(func, AggFunc::Min | AggFunc::Max))
-                    .then(|| AggCache::new(cache_slots));
-                sec_group = *group_cols;
-                for &c in &decl.index_cols {
-                    secondary.push(SecondaryIndex {
-                        col: c,
+            } => RecStore::Agg(AggStore {
+                rel: AggRelation::new(to_storage_func(*func), *group_cols, *epsilon),
+                func: *func,
+                group_cols: *group_cols,
+                secondary: decl
+                    .index_cols
+                    .iter()
+                    .map(|&col| SecondaryIndex {
+                        col,
                         map: BPlusTree::new(),
-                        group_cols: sec_group,
-                    });
-                }
-            }
+                        group_cols: *group_cols,
+                    })
+                    .collect(),
+                cache: (optimized && matches!(func, AggFunc::Min | AggFunc::Max))
+                    .then(|| AggCache::new(cache_slots)),
+                optimized,
+            }),
         }
-        RecStore {
-            kind: decl.kind.clone(),
-            set,
-            agg,
-            secondary,
-            tuple_cache,
-            agg_cache,
-            optimized,
-        }
-    }
-
-    /// Storage semantics.
-    pub fn kind(&self) -> &StorageKind {
-        &self.kind
     }
 
     /// Number of logical rows / groups.
     pub fn len(&self) -> usize {
-        match (&self.set, &self.agg) {
-            (Some(s), _) => s.len(),
-            (_, Some(a)) => a.len(),
-            _ => 0,
+        match self {
+            RecStore::Set(s) => s.len(),
+            RecStore::Agg(a) => a.rel.len(),
         }
     }
 
@@ -152,128 +185,69 @@ impl RecStore {
 
     /// Merges one incoming merge-layout row (the Gather operator).
     pub fn merge(&mut self, row: &Tuple) -> Merged {
-        // Matching on the place (not a clone) is fine: every bound field is
-        // `Copy`, so the scrutinee borrow ends before the arms run.
-        match self.kind {
-            StorageKind::Set => {
-                if let Some(cache) = &mut self.tuple_cache {
-                    if cache.check(row) {
-                        return Merged::Old;
-                    }
-                }
-                let set = self.set.as_mut().expect("set store");
-                if set.insert(row.clone()) {
-                    if let Some(cache) = &mut self.tuple_cache {
-                        cache.record(row);
-                    }
-                    for idx in &mut self.secondary {
-                        idx.upsert(row);
-                    }
+        match self {
+            RecStore::Set(s) => {
+                if s.insert(row.clone()) {
                     Merged::New(row.clone())
                 } else {
-                    if let Some(cache) = &mut self.tuple_cache {
-                        cache.record(row);
-                    }
                     Merged::Old
                 }
             }
-            StorageKind::Agg {
-                func, group_cols, ..
-            } => {
-                // Cache pre-check (min/max only): prune non-improving rows
-                // without touching the B+-tree.
-                if let Some(cache) = &mut self.agg_cache {
-                    let group = row.prefix(group_cols);
-                    if let Some(cached) = cache.get(&group) {
-                        let candidate = row.values()[group_cols];
-                        let non_improving = match func {
-                            AggFunc::Min => candidate >= cached,
-                            AggFunc::Max => candidate <= cached,
-                            _ => false,
-                        };
-                        if non_improving {
-                            return Merged::Old;
-                        }
-                    }
-                }
-                if !self.optimized {
-                    // Pre-§6.2.1 behaviour: locate the group with a linear
-                    // scan of the relation before merging.
-                    let agg = self.agg.as_ref().expect("agg store");
-                    let group_vals = &row.values()[..group_cols];
-                    let mut _found = false;
-                    for logical in agg.iter() {
-                        if &logical.values()[..group_cols] == group_vals {
-                            _found = true;
-                            break;
-                        }
-                    }
-                }
-                let agg = self.agg.as_mut().expect("agg store");
-                match agg.merge(row) {
-                    dcd_storage::aggregate::MergeOutcome::Updated(logical) => {
-                        if let Some(cache) = &mut self.agg_cache {
-                            let group = logical.prefix(group_cols);
-                            cache.record(&group, logical.values()[group_cols]);
-                        }
-                        for idx in &mut self.secondary {
-                            idx.upsert(&logical);
-                        }
-                        Merged::New(logical)
-                    }
-                    dcd_storage::aggregate::MergeOutcome::Unchanged => Merged::Old,
-                }
-            }
+            RecStore::Agg(a) => a.merge(row),
         }
     }
 
     /// Probes the relation on `col == key` (index join).
-    pub fn probe(&self, col: usize, key: u64) -> &[Tuple] {
-        if let Some(set) = &self.set {
-            if set.key_col() == col {
-                return set.probe(key);
-            }
+    pub fn probe(&self, col: usize, key: u64) -> Bucket<'_> {
+        match self {
+            RecStore::Set(s) => Bucket::Ids {
+                rows: s.rows(),
+                ids: s.probe_ids(col, key),
+            },
+            RecStore::Agg(a) => Bucket::Rows(
+                a.secondary
+                    .iter()
+                    .find(|s| s.col == col)
+                    .map(|s| s.probe(key))
+                    .unwrap_or_else(|| panic!("no index on column {col}")),
+            ),
         }
-        self.secondary
-            .iter()
-            .find(|s| s.col == col)
-            .map(|s| s.probe(key))
-            .unwrap_or_else(|| panic!("no index on column {col}"))
     }
 
     /// All current logical rows (scan).
     pub fn rows(&self) -> Vec<Tuple> {
-        match (&self.set, &self.agg) {
-            (Some(s), _) => s.iter().cloned().collect(),
-            (_, Some(a)) => a.rows(),
-            _ => Vec::new(),
+        match self {
+            RecStore::Set(s) => s.rows().to_vec(),
+            RecStore::Agg(a) => a.rel.rows(),
+        }
+    }
+
+    /// Consumes the store, yielding its logical rows; a set relation's
+    /// rows move out without a copy.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        match self {
+            RecStore::Set(s) => s.into_rows(),
+            RecStore::Agg(a) => a.rel.rows(),
         }
     }
 
     /// Streams the current logical rows without materializing a `Vec` —
     /// the evaluator's in-place IDB scan. Set rows are borrowed straight
-    /// from the index; aggregate rows are assembled lazily.
+    /// from the arena; aggregate rows are assembled lazily.
     pub fn scan(&self) -> RecScan<'_> {
-        match (&self.set, &self.agg) {
-            (Some(s), _) => RecScan::Set(s.scan()),
-            (_, Some(a)) => RecScan::Agg(a.scan()),
-            _ => RecScan::Empty,
+        match self {
+            RecStore::Set(s) => RecScan::Set(s.scan()),
+            RecStore::Agg(a) => RecScan::Agg(a.rel.scan()),
         }
     }
 
-    /// Existence-cache `(hits, misses)` for this relation, summed over the
-    /// tuple and aggregate caches (both zero when optimizations are off).
+    /// Existence-cache `(hits, misses)` for this relation (zero for set
+    /// relations and when optimizations are off).
     pub fn cache_stats(&self) -> (u64, u64) {
-        let (mut h, mut m) = (0, 0);
-        if let Some(c) = &self.tuple_cache {
-            h += c.hits();
-            m += c.misses();
+        match self {
+            RecStore::Agg(AggStore { cache: Some(c), .. }) => c.stats(),
+            _ => (0, 0),
         }
-        if let Some(c) = &self.agg_cache {
-            h += c.hits();
-            m += c.misses();
-        }
-        (h, m)
     }
 }
 
@@ -282,11 +256,9 @@ impl RecStore {
 /// the `(group…, value)` rows they assemble on the fly.
 pub enum RecScan<'a> {
     /// Borrowed rows from a set relation.
-    Set(dcd_storage::SetScan<'a>),
+    Set(std::slice::Iter<'a, Tuple>),
     /// Assembled rows from an aggregate relation.
     Agg(dcd_storage::AggScan<'a>),
-    /// Defensive arm for a store with no backing relation.
-    Empty,
 }
 
 impl<'a> Iterator for RecScan<'a> {
@@ -297,7 +269,6 @@ impl<'a> Iterator for RecScan<'a> {
         match self {
             RecScan::Set(s) => s.next().map(std::borrow::Cow::Borrowed),
             RecScan::Agg(a) => a.next().map(std::borrow::Cow::Owned),
-            RecScan::Empty => None,
         }
     }
 }
@@ -361,6 +332,22 @@ impl WorkerStore {
         self.idb[rel].as_mut().expect("IDB relation present")
     }
 
+    /// Probes `target` on `col == key`: a base relation's or a set
+    /// relation's row ids, or an aggregate relation's rows.
+    #[inline]
+    pub fn probe(&self, target: Target, col: usize, key: u64) -> Bucket<'_> {
+        match target {
+            Target::Edb(rel) => {
+                let base = self.base(rel);
+                Bucket::Ids {
+                    rows: base.rows(),
+                    ids: base.probe_ids(col, key),
+                }
+            }
+            Target::Idb { rel, .. } => self.rec(rel).probe(col, key),
+        }
+    }
+
     /// Existence-cache `(hits, misses)` totals over every derived store.
     pub fn cache_totals(&self) -> (u64, u64) {
         self.idb
@@ -405,18 +392,35 @@ mod tests {
 
     #[test]
     fn set_store_merges_and_probes() {
-        let p = tc_plan();
+        // Non-linear TC probes `tc` itself, so its store keeps postings.
+        let a = analyze(
+            parse_program("tc(X, Y) <- arc(X, Y). tc(X, Y) <- tc(X, Z), tc(Z, Y).").unwrap(),
+        )
+        .unwrap();
+        let p = plan(&a, &PlannerConfig::default()).unwrap();
         let tc = p.rel_by_name("tc").unwrap();
+        let col = p.idb[tc].as_ref().unwrap().index_cols[0];
         let mut s = RecStore::new(&p, tc, true, 64);
         assert_eq!(
             s.merge(&Tuple::from_ints(&[1, 2])),
             Merged::New(Tuple::from_ints(&[1, 2]))
         );
         assert_eq!(s.merge(&Tuple::from_ints(&[1, 2])), Merged::Old);
-        // tc is keyed on column 1 (its join column).
-        let hits = s.probe(1, Tuple::from_ints(&[0, 2]).key(1));
-        assert_eq!(hits.len(), 1);
+        let hits = s.probe(col, Tuple::from_ints(&[1, 2]).key(col));
+        assert!(matches!(hits, Bucket::Ids { ids: [0], .. }), "{hits:?}");
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn unprobed_set_store_keeps_merge_order() {
+        let p = tc_plan();
+        let tc = p.rel_by_name("tc").unwrap();
+        let mut s = RecStore::new(&p, tc, true, 64);
+        let rows: Vec<Tuple> = (0..20i64).map(|i| Tuple::from_ints(&[i % 5, 0])).collect();
+        let new = rows.iter().filter(|r| s.merge(r) != Merged::Old).count();
+        assert_eq!(new, 5);
+        assert_eq!(s.rows(), rows[..5]);
+        assert_eq!(s.into_rows(), rows[..5]);
     }
 
     #[test]
@@ -487,7 +491,6 @@ mod tests {
     #[test]
     fn worker_store_partitions_edb() {
         use dcd_common::Partitioner;
-        use dcd_storage::EdbRead;
         let p = tc_plan();
         let arc = p.rel_by_name("arc").unwrap();
         let rows: Vec<Tuple> = (0..100).map(|i| Tuple::from_ints(&[i, i + 1])).collect();

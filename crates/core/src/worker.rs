@@ -16,16 +16,17 @@
 
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
-use crate::store::{Merged, WorkerStore};
+use crate::store::{Merged, RecStore, WorkerStore};
 use dcd_common::hash::FastMap;
 use dcd_common::{DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
-use dcd_frontend::physical::{PhysicalPlan, RelId};
+use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
     Batch, BufferMatrix, DwsController, DwsSample, IdleOutcome, MetricsRecorder, RoundBarrier,
     SspClock, Strategy, Termination, Tracer, WorkerEndpoints,
 };
 use dcd_storage::TupleCache;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -150,28 +151,86 @@ pub struct WorkerStats {
     pub batches_in: u64,
 }
 
+/// Set-relation head rows the batched kernel buffers before Distribute
+/// merges and routes them: about 2 MB of binary rows, so the buffer is
+/// still cached when Distribute reads it back.
+const FLUSH_ROWS: usize = 1 << 15;
+/// Delta rows per batched-kernel call in a stratum with a set-relation
+/// head, so one call cannot overshoot [`FLUSH_ROWS`] by much (TC derives
+/// about a dozen head rows per delta row).
+const KERNEL_ROWS: usize = 1 << 10;
+
 /// Pre-Distribute partial aggregation (§5.2.3): merge-layout rows derived
 /// within one local iteration collapse per key before routing — min/max
 /// keep the best row per group, sum/count keep the latest row per
 /// (group, contributor). Set-relation rows skip the map entirely: their
-/// only collapse is exact-duplicate elimination, which Distribute's
-/// sent-filter (and, ultimately, the idempotent merge) already performs
-/// — hashing every head row into a per-round map just to drop dupes a
-/// later stage drops anyway was pure round-trip cost.
-#[derive(Default)]
+/// only collapse is exact-duplicate elimination, which the batched local
+/// merge and, for rows bound to peers, the sent-filter already perform.
+/// They are split by destination as they arrive instead. The worker
+/// keeps one accumulator and reuses its buffers across iterations.
 struct PartialAgg {
+    me: WorkerId,
+    part: Partitioner,
+    /// `set[rel]`: set relation `rel`'s head rows, in derivation order.
+    set: Vec<SetRows>,
     best: FastMap<(RelId, Tuple), Tuple>,
-    rows: Vec<(RelId, Tuple)>,
+}
+
+/// One set relation's head rows, by destination. A row bound both here
+/// and to a peer is in both lists.
+#[derive(Default)]
+struct SetRows {
+    /// Rows this worker merges.
+    local: Vec<Tuple>,
+    /// Rows for peers.
+    remote: Vec<Tuple>,
 }
 
 impl PartialAgg {
+    fn new(me: WorkerId, part: Partitioner) -> Self {
+        PartialAgg {
+            me,
+            part,
+            set: Vec::new(),
+            best: FastMap::default(),
+        }
+    }
+
+    /// Set-relation head rows buffered.
+    fn set_rows(&self) -> usize {
+        self.set
+            .iter()
+            .map(|s| s.local.len() + s.remote.len())
+            .sum()
+    }
+
     fn push(&mut self, plan: &PhysicalPlan, rel: RelId, row: Tuple) {
         use dcd_frontend::ast::AggFunc;
-        use dcd_frontend::physical::StorageKind;
         let decl = plan.idb[rel].as_ref().expect("IDB head");
         match &decl.kind {
             StorageKind::Set => {
-                self.rows.push((rel, row));
+                let (here, peer) = if decl.broadcast {
+                    (true, self.part.partitions() > 1)
+                } else {
+                    decl.partition_cols
+                        .iter()
+                        .fold((false, false), |(h, p), &c| {
+                            let mine = self.part.of_key(row.key(c)) == self.me;
+                            (h || mine, p || !mine)
+                        })
+                };
+                if self.set.len() <= rel {
+                    self.set.resize_with(rel + 1, SetRows::default);
+                }
+                let out = &mut self.set[rel];
+                match (here, peer) {
+                    (true, true) => {
+                        out.remote.push(row.clone());
+                        out.local.push(row);
+                    }
+                    (true, false) => out.local.push(row),
+                    _ => out.remote.push(row),
+                }
             }
             StorageKind::Agg {
                 func, group_cols, ..
@@ -205,24 +264,21 @@ impl PartialAgg {
             }
         }
     }
-
-    /// Consumes the accumulator, yielding `(head relation, row)` pairs
-    /// straight into Distribute — no intermediate `Vec` round-trip.
-    fn drain(self) -> impl Iterator<Item = (RelId, Tuple)> {
-        self.rows
-            .into_iter()
-            .chain(self.best.into_iter().map(|((rel, _), row)| (rel, row)))
-    }
 }
 
 /// Pending delta rows: `(relation, route, logical row)`.
 struct DeltaSet {
     rows: Vec<DeltaRow>,
+    /// The previous iteration's buffer, emptied, ready to be the next.
+    spare: Vec<DeltaRow>,
 }
 
 impl DeltaSet {
     fn new() -> Self {
-        DeltaSet { rows: Vec::new() }
+        DeltaSet {
+            rows: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
     fn len(&self) -> usize {
@@ -233,8 +289,17 @@ impl DeltaSet {
         self.rows.is_empty()
     }
 
+    /// Takes the pending rows, leaving the spare buffer to collect the
+    /// next delta.
     fn take(&mut self) -> Vec<DeltaRow> {
-        std::mem::take(&mut self.rows)
+        std::mem::replace(&mut self.rows, std::mem::take(&mut self.spare))
+    }
+
+    /// Returns a buffer [`DeltaSet::take`] handed out, keeping its
+    /// capacity for a later iteration.
+    fn recycle(&mut self, mut rows: Vec<DeltaRow>) {
+        rows.clear();
+        self.spare = rows;
     }
 }
 
@@ -248,15 +313,19 @@ pub struct Worker<'a> {
     evaluator: Evaluator<'a>,
     /// Persistent register file + probe counters for the batched kernel.
     scratch: EvalScratch,
+    /// Head rows of the current local iteration, drained by Distribute.
+    acc: PartialAgg,
+    /// Rows of one received set-relation frame, merged as one batch.
+    gathered: Vec<Tuple>,
     /// Per-relation exact-duplicate filter for Distribute — the §6.2
     /// existence-check cache applied to the *exchange*: a head row
-    /// identical to one this worker already routed is dropped before it
-    /// is serialized. Merging an identical row is a no-op, so
-    /// suppression can never change the fixpoint; it only saves the
-    /// serialize → queue → deserialize → reject round-trip duplicates
-    /// otherwise pay. `None` for aggregate relations (their rows evolve,
-    /// so exact repeats are rare) and for single-worker or unoptimized
-    /// runs.
+    /// identical to one this worker already sent to peers is not sent
+    /// again. Merging an identical row is a no-op, so suppression can
+    /// never change the fixpoint; it only saves the serialize → queue →
+    /// deserialize → reject round-trip duplicates otherwise pay. Only
+    /// rows bound for a peer consult it: the local merge dedups exactly.
+    /// `None` for aggregate relations (their rows evolve, so exact
+    /// repeats are rare) and for single-worker or unoptimized runs.
     sent_filter: Vec<Option<TupleCache>>,
     metrics: &'a MetricsRecorder,
     tracer: &'a Tracer,
@@ -270,7 +339,6 @@ impl<'a> Worker<'a> {
         coord: &'a Coordination,
         me: WorkerId,
     ) -> Self {
-        use dcd_frontend::physical::StorageKind;
         let sent_filter: Vec<Option<TupleCache>> = plan
             .idb
             .iter()
@@ -278,10 +346,10 @@ impl<'a> Worker<'a> {
                 Some(d)
                     if cfg.optimized && cfg.workers > 1 && matches!(d.kind, StorageKind::Set) =>
                 {
-                    // 4× the merge-side cache: this filter guards the
-                    // whole relation's row universe, not just recency,
-                    // and every eviction turns into a wasted remote send.
-                    Some(TupleCache::new(cfg.cache_slots * 4))
+                    // As large as an aggregate relation's cache: 1 MB of
+                    // binary rows, which stays in L2. Four and sixteen
+                    // times larger caught more repeats but ran no faster.
+                    Some(TupleCache::new(cfg.cache_slots))
                 }
                 _ => None,
             })
@@ -298,6 +366,8 @@ impl<'a> Worker<'a> {
                 workers: cfg.workers,
             },
             scratch: EvalScratch::new(),
+            acc: PartialAgg::new(me, coord.part),
+            gathered: Vec::new(),
             sent_filter,
             metrics: &coord.metrics[me],
             tracer: &coord.tracers[me],
@@ -339,27 +409,28 @@ impl<'a> Worker<'a> {
         self.coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
+        let ti = Instant::now();
         let stratum = &self.plan.strata[si];
-        let mut acc = PartialAgg::default();
         {
             let mut rows = Vec::new();
             for rule in &stratum.init_rules {
                 rows.clear();
                 self.evaluator.eval_init(rule, store, &mut rows);
                 for t in rows.drain(..) {
-                    acc.push(self.plan, rule.head_rel, t);
+                    self.acc.push(self.plan, rule.head_rel, t);
                 }
             }
         }
         if self.me == 0 {
             for (rel, t) in &self.plan.facts {
                 if stratum.rels.contains(rel) {
-                    acc.push(self.plan, *rel, t.clone());
+                    self.acc.push(self.plan, *rel, t.clone());
                 }
             }
         }
+        self.end_eval(ti, 0);
         let mut delta = DeltaSet::new();
-        self.distribute(si, store, acc, &mut delta, &mut None)?;
+        self.distribute(si, store, &mut delta, &mut None)?;
         let tp = Instant::now();
         sc.post_init.wait();
         self.tracer.span(Phase::Idle, tp, self.metrics.iterations());
@@ -393,9 +464,7 @@ impl<'a> Worker<'a> {
             self.tracer
                 .span(Phase::Gather, tg, self.metrics.iterations());
             let processed = delta.len() as u64;
-            let outs = self.iterate(si, store, &mut delta);
-            let (local_new, remote_sent) =
-                self.distribute(si, store, outs, &mut delta, &mut None)?;
+            let (local_new, remote_sent) = self.iterate(si, store, &mut delta, &mut None)?;
             let produced = remote_sent + local_new;
             self.tracer.instant(
                 Mark::Iteration,
@@ -530,9 +599,8 @@ impl<'a> Worker<'a> {
 
             let t0 = Instant::now();
             let processed = delta.len();
-            let outs = self.iterate(si, store, &mut delta);
             let (local_new, remote_sent) =
-                self.distribute(si, store, outs, &mut delta, &mut dws.as_mut())?;
+                self.iterate(si, store, &mut delta, &mut dws.as_mut())?;
             if let Some(ctrl) = dws.as_mut() {
                 ctrl.on_iteration(processed, t0.elapsed());
             }
@@ -549,12 +617,12 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Coalesces pending delta rows (the Gather semantics of §5.2.2): an
-    /// aggregate group that updated several times since the last local
-    /// iteration keeps only its newest logical row. Without this, `sum`
-    /// relations fragment convergence into O(total-change/ε) micro-deltas.
-    fn coalesce(&self, rows: Vec<DeltaRow>) -> Vec<DeltaRow> {
-        use dcd_frontend::physical::StorageKind;
+    /// Coalesces pending delta rows in place (the Gather semantics of
+    /// §5.2.2): an aggregate group that updated several times since the
+    /// last local iteration keeps only its newest logical row. Without
+    /// this, `sum` relations fragment convergence into
+    /// O(total-change/ε) micro-deltas.
+    fn coalesce(&self, rows: &mut Vec<DeltaRow>) {
         // (rel, route, group prefix) → index of the newest row.
         let mut latest: FastMap<(RelId, u8, Tuple), usize> = FastMap::default();
         let mut keep = vec![true; rows.len()];
@@ -568,32 +636,54 @@ impl<'a> Worker<'a> {
                 keep[prev] = false;
             }
         }
-        rows.into_iter()
-            .zip(keep)
-            .filter_map(|(r, k)| k.then_some(r))
-            .collect()
+        let mut i = 0;
+        rows.retain(|_| {
+            i += 1;
+            keep[i - 1]
+        });
     }
 
     /// One local semi-naive iteration: runs every matching delta variant
-    /// over the pending delta rows. Outputs pass through the partial
-    /// aggregation of §5.2.3 ("the Distribute operators also perform some
-    /// partial aggregation"), so the returned list is bounded by the
-    /// number of distinct output groups, not raw join results.
-    fn iterate(&mut self, si: usize, store: &WorkerStore, delta: &mut DeltaSet) -> PartialAgg {
-        let t0 = Instant::now();
-        let stratum = &self.plan.strata[si];
-        let mut rows = self.coalesce(delta.take());
+    /// over the pending delta rows, then distributes what they derived.
+    /// Outputs pass through the partial aggregation of §5.2.3 ("the
+    /// Distribute operators also perform some partial aggregation") in
+    /// `self.acc`, so aggregate output is bounded by the number of
+    /// distinct output groups, not raw join results. Set-relation output
+    /// is not collapsed there, so the batched kernel distributes it
+    /// whenever [`FLUSH_ROWS`] head rows have accumulated: the buffer
+    /// stays cache-sized however much one iteration derives. Merging
+    /// part of an iteration's output before the rest is derived is sound
+    /// because merges are monotone: a rule that probes a relation then
+    /// sees some rows early, and every merged row still enters the next
+    /// delta. Returns `(new local merges, tuples sent to peers)`.
+    fn iterate(
+        &mut self,
+        si: usize,
+        store: &mut WorkerStore,
+        delta: &mut DeltaSet,
+        dws: &mut Option<&mut DwsController>,
+    ) -> Result<(u64, u64)> {
+        let mut t0 = Instant::now();
+        let plan = self.plan;
+        let stratum = &plan.strata[si];
+        let mut rows = delta.take();
+        self.coalesce(&mut rows);
         let nrows = rows.len() as u64;
         self.metrics.note_iteration(nrows);
-        let mut acc = PartialAgg::default();
+        let (mut local_new, mut remote_sent) = (0, 0);
         if self.cfg.batch_kernel {
-            // Cluster the delta by (rel, route): each cluster runs as one
-            // batch per matching rule. The sort is stable, so rows keep
-            // their arrival order within a cluster.
+            // Cluster the delta by (rel, route): each cluster runs as
+            // batches of at most `KERNEL_ROWS` rows per matching rule. The
+            // sort is stable, so rows keep their arrival order within a
+            // cluster. Only set-relation heads fill the flush buffer, so
+            // a stratum without one runs each cluster whole, and the
+            // kernel's first-probe memoization sees all of it.
+            let set_head = stratum.delta_rules.iter().any(|r| {
+                let decl = plan.idb[r.head_rel].as_ref().expect("IDB head");
+                matches!(decl.kind, StorageKind::Set)
+            });
+            let kernel_rows = if set_head { KERNEL_ROWS } else { usize::MAX };
             rows.sort_by_key(|r| (r.0, r.1));
-            let plan = self.plan;
-            let evaluator = &self.evaluator;
-            let scratch = &mut self.scratch;
             let mut start = 0;
             while start < rows.len() {
                 let (rel, route) = (rows[start].0, rows[start].1);
@@ -601,17 +691,30 @@ impl<'a> Worker<'a> {
                 while end < rows.len() && rows[end].0 == rel && rows[end].1 == route {
                     end += 1;
                 }
-                let group = &rows[start..end];
-                for rule in &stratum.delta_rules {
-                    let spec = rule.delta.as_ref().expect("delta rule");
-                    if spec.rel != rel || spec.route != route as usize {
-                        continue;
+                for group in rows[start..end].chunks(kernel_rows) {
+                    for rule in &stratum.delta_rules {
+                        let spec = rule.delta.as_ref().expect("delta rule");
+                        if spec.rel != rel || spec.route != route as usize {
+                            continue;
+                        }
+                        let head = rule.head_rel;
+                        let acc = &mut self.acc;
+                        self.evaluator.eval_delta_batch(
+                            rule,
+                            store,
+                            group,
+                            &mut self.scratch,
+                            &mut |t| acc.push(plan, head, t),
+                        );
+                        self.metrics.note_kernel_batch(group.len() as u64);
                     }
-                    let head = rule.head_rel;
-                    evaluator.eval_delta_batch(rule, store, group, scratch, &mut |t| {
-                        acc.push(plan, head, t)
-                    });
-                    self.metrics.note_kernel_batch(group.len() as u64);
+                    if self.acc.set_rows() >= FLUSH_ROWS {
+                        self.end_eval(t0, nrows);
+                        let (l, r) = self.distribute(si, store, delta, dws)?;
+                        local_new += l;
+                        remote_sent += r;
+                        t0 = Instant::now();
+                    }
                 }
                 start = end;
             }
@@ -627,11 +730,19 @@ impl<'a> Worker<'a> {
                     }
                     self.evaluator.eval_delta(rule, store, row, &mut buf);
                     for t in buf.drain(..) {
-                        acc.push(self.plan, rule.head_rel, t);
+                        self.acc.push(plan, rule.head_rel, t);
                     }
                 }
             }
         }
+        self.end_eval(t0, nrows);
+        delta.recycle(rows);
+        let (l, r) = self.distribute(si, store, delta, dws)?;
+        Ok((local_new + l, remote_sent + r))
+    }
+
+    /// Closes an EvalDelta interval that began at `t0`.
+    fn end_eval(&self, t0: Instant, nrows: u64) {
         self.metrics.add_iterate(t0.elapsed());
         self.tracer.span_args(
             Phase::EvalDelta,
@@ -641,7 +752,6 @@ impl<'a> Worker<'a> {
             0,
             0,
         );
-        acc
     }
 
     /// Routes derived tuples (Distribute): local merges feed the next
@@ -653,62 +763,67 @@ impl<'a> Worker<'a> {
         &mut self,
         si: usize,
         store: &mut WorkerStore,
-        outs: PartialAgg,
         delta: &mut DeltaSet,
         dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
         let t0 = Instant::now();
-        let n = self.cfg.workers;
         let termination = &self.coord.strata[si].termination;
         let mut local_new = 0u64;
         let mut remote_sent = 0u64;
-        // Staging area: (dest, rel) → a flat frame builder. Head rows flow
-        // from the partial-aggregation map straight into the frames; no
-        // intermediate Vec<(RelId, Tuple)> and no per-row Tuple clone on
-        // the remote path.
-        let mut staged: FastMap<(WorkerId, RelId), Frame> = FastMap::default();
+        // Staging area: one flat frame builder per (dest, rel), at
+        // `dest * nrels + rel`. Head rows flow from the accumulator
+        // straight into the frames; no per-row Tuple clone on the remote
+        // path.
+        let nrels = self.plan.idb.len();
+        let mut staged: Vec<Frame> = (0..self.cfg.workers * nrels)
+            .map(|_| Frame::for_rel())
+            .collect();
+        let mut stage =
+            |d: WorkerId, rel: RelId, row: &Tuple| staged[d * nrels + rel].push_row(row.values());
         let mut dests: Vec<WorkerId> = Vec::with_capacity(2);
-        // Taken (not borrowed) so the filter can be consulted while
-        // `merge_local` borrows `self`; restored right after the loop.
+        // Taken (not borrowed) so they can be used while the merges borrow
+        // `self`; restored, buffers kept, right after.
+        let mut acc = std::mem::replace(&mut self.acc, PartialAgg::new(self.me, self.coord.part));
         let mut filters = std::mem::take(&mut self.sent_filter);
-        for (rel, row) in outs.drain() {
-            // A row this worker already routed went to the same
-            // (deterministic) destinations then; re-merging it anywhere
-            // is a no-op, so the whole row can be dropped.
-            if let Some(filter) = &mut filters[rel] {
-                if filter.check(&row) {
-                    continue;
-                }
-                filter.record(&row);
+        for (rel, out) in acc.set.iter_mut().enumerate() {
+            if !out.local.is_empty() {
+                local_new += self.merge_set(store, rel, &out.local, delta);
+                out.local.clear();
             }
-            let decl = self.plan.idb[rel].as_ref().expect("IDB head");
-            dests.clear();
-            if decl.broadcast {
-                dests.extend(0..n);
-            } else {
-                for &c in &decl.partition_cols {
-                    let d = self.coord.part.of_key(row.key(c));
-                    if !dests.contains(&d) {
-                        dests.push(d);
-                    }
+            // A row this worker already sent went to the same
+            // (deterministic) peers then; re-merging it there is a no-op.
+            let unseen = match &mut filters[rel] {
+                Some(filter) => filter.retain_unseen(&mut out.remote),
+                None => out.remote.len(),
+            };
+            for row in &out.remote[..unseen] {
+                self.dests(rel, row, &mut dests);
+                for &d in dests.iter().filter(|&&d| d != self.me) {
+                    stage(d, rel, row);
                 }
             }
+            out.remote.clear();
+        }
+        for ((rel, _), row) in acc.best.drain() {
+            self.dests(rel, &row, &mut dests);
             for &d in &dests {
                 if d == self.me {
                     local_new += self.merge_local(store, rel, &row, delta);
                 } else {
-                    staged
-                        .entry((d, rel))
-                        .or_insert_with(Frame::for_rel)
-                        .push_row(row.values());
+                    stage(d, rel, &row);
                 }
             }
         }
+        self.acc = acc;
         self.sent_filter = filters;
         // Flush batches. When a queue is full we drain our own inbox while
         // retrying, which breaks producer/consumer cycles (two workers
         // flooding each other would otherwise deadlock).
-        for ((dest, rel), frame) in staged {
+        for (i, frame) in staged.into_iter().enumerate() {
+            if frame.is_empty() {
+                continue;
+            }
+            let (dest, rel) = (i / nrels, i % nrels);
             for piece in frame.into_batches(self.cfg.batch_size) {
                 let k = piece.len() as u64;
                 termination.note_produced(k);
@@ -760,8 +875,24 @@ impl<'a> Worker<'a> {
         Ok((local_new, remote_sent))
     }
 
+    /// The workers row `row` of `rel` is routed to, without repeats.
+    fn dests(&self, rel: RelId, row: &Tuple, out: &mut Vec<WorkerId>) {
+        let decl = self.plan.idb[rel].as_ref().expect("IDB head");
+        out.clear();
+        if decl.broadcast {
+            out.extend(0..self.cfg.workers);
+        } else {
+            for &c in &decl.partition_cols {
+                let d = self.coord.part.of_key(row.key(c));
+                if !out.contains(&d) {
+                    out.push(d);
+                }
+            }
+        }
+    }
+
     /// Merges one merge-layout row into the local store; on success, adds
-    /// a delta entry for every route of the relation that maps here.
+    /// its delta entries.
     fn merge_local(
         &self,
         store: &mut WorkerStore,
@@ -769,24 +900,49 @@ impl<'a> Worker<'a> {
         row: &Tuple,
         delta: &mut DeltaSet,
     ) -> u64 {
-        let decl = self.plan.idb[rel].as_ref().expect("IDB");
         match store.rec_mut(rel).merge(row) {
             Merged::New(logical) => {
-                if decl.broadcast {
-                    // Broadcast relations run every variant everywhere.
-                    for r in 0..decl.partition_cols.len().max(1) {
-                        delta.rows.push((rel, r as u8, logical.clone()));
-                    }
-                } else {
-                    for (ri, &c) in decl.partition_cols.iter().enumerate() {
-                        if self.coord.part.of_key(logical.key(c)) == self.me {
-                            delta.rows.push((rel, ri as u8, logical.clone()));
-                        }
-                    }
-                }
+                self.push_delta(rel, &logical, delta);
                 1
             }
             Merged::Old => 0,
+        }
+    }
+
+    /// Merges a group of set-relation rows into the local store as one
+    /// batch; adds the delta entries of every new row.
+    fn merge_set<T: Borrow<Tuple>>(
+        &self,
+        store: &mut WorkerStore,
+        rel: RelId,
+        rows: &[T],
+        delta: &mut DeltaSet,
+    ) -> u64 {
+        let RecStore::Set(set) = store.rec_mut(rel) else {
+            panic!("batched merge into an aggregate relation");
+        };
+        let n = set.insert_batch(rows);
+        for row in &set.rows()[set.len() - n..] {
+            self.push_delta(rel, row, delta);
+        }
+        n as u64
+    }
+
+    /// Adds a delta entry for new logical row `row` for every route of
+    /// `rel` that maps here.
+    fn push_delta(&self, rel: RelId, row: &Tuple, delta: &mut DeltaSet) {
+        let decl = self.plan.idb[rel].as_ref().expect("IDB");
+        if decl.broadcast {
+            // Broadcast relations run every variant everywhere.
+            for r in 0..decl.partition_cols.len().max(1) {
+                delta.rows.push((rel, r as u8, row.clone()));
+            }
+        } else {
+            for (ri, &c) in decl.partition_cols.iter().enumerate() {
+                if self.coord.part.of_key(row.key(c)) == self.me {
+                    delta.rows.push((rel, ri as u8, row.clone()));
+                }
+            }
         }
     }
 
@@ -821,8 +977,16 @@ impl<'a> Worker<'a> {
                 }
                 batches += 1;
                 let rel = batch.rel as usize;
-                for i in 0..batch.frame.len() {
-                    new += self.merge_local(store, rel, &batch.frame.tuple(i), delta);
+                if let RecStore::Set(_) = store.rec(rel) {
+                    let mut rows = std::mem::take(&mut self.gathered);
+                    rows.clear();
+                    rows.extend(batch.frame.iter().map(Tuple::new));
+                    new += self.merge_set(store, rel, &rows, delta);
+                    self.gathered = rows;
+                } else {
+                    for i in 0..batch.frame.len() {
+                        new += self.merge_local(store, rel, &batch.frame.tuple(i), delta);
+                    }
                 }
                 termination.note_consumed(k);
             }
@@ -869,15 +1033,15 @@ mod tests {
     fn partial_agg_collapses_min_groups() {
         let p = cc_plan();
         let cc2 = p.rel_by_name("cc2").unwrap();
-        let mut acc = PartialAgg::default();
+        let mut acc = PartialAgg::new(0, Partitioner::new(1));
         acc.push(&p, cc2, Tuple::from_ints(&[1, 9]));
         acc.push(&p, cc2, Tuple::from_ints(&[1, 3]));
         acc.push(&p, cc2, Tuple::from_ints(&[1, 7]));
         acc.push(&p, cc2, Tuple::from_ints(&[2, 5]));
-        let mut rows: Vec<(RelId, Tuple)> = acc.drain().collect();
-        rows.sort_by(|a, b| a.1.cmp(&b.1));
+        let mut rows: Vec<Tuple> = acc.best.into_values().collect();
+        rows.sort();
         assert_eq!(
-            rows.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>(),
+            rows,
             vec![Tuple::from_ints(&[1, 3]), Tuple::from_ints(&[2, 5])]
         );
     }
@@ -885,16 +1049,17 @@ mod tests {
     #[test]
     fn partial_agg_passes_set_rows_through() {
         // Set rows are NOT collapsed here: exact-duplicate elimination is
-        // Distribute's job (sent-filter + idempotent merge), so the
+        // Distribute's job (batched merge + sent-filter), so the
         // accumulator must forward every row without hashing it.
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
-        let mut acc = PartialAgg::default();
+        let mut acc = PartialAgg::new(0, Partitioner::new(1));
         for _ in 0..5 {
             acc.push(&p, tc, Tuple::from_ints(&[1, 2]));
         }
         acc.push(&p, tc, Tuple::from_ints(&[1, 3]));
-        assert_eq!(acc.drain().count(), 6);
+        assert_eq!(acc.set[tc].local.len(), 6);
+        assert!(acc.best.is_empty());
     }
 
     #[test]

@@ -7,31 +7,12 @@
 //! immutable and freely shareable across worker threads (`&SealedRelation`
 //! / `Arc<SealedRelation>` are `Sync`). Replicated relations are built once
 //! for the whole engine and shared; partitioned relations are built once
-//! per worker from that worker's slice. Both sit behind the [`EdbRead`]
-//! trait so the evaluator's probe/scan code is backend-agnostic.
+//! per worker from that worker's slice. Probes return row ids
+//! ([`SealedRelation::probe_ids`]) to resolve against the rows, the same
+//! shape as a set relation's probes.
 
 use dcd_common::hash::FastMap;
 use dcd_common::{Partitioner, Tuple};
-
-/// Read-only access to a base relation: what the evaluator needs.
-pub trait EdbRead {
-    /// All rows.
-    fn rows(&self) -> &[Tuple];
-
-    /// Matching rows for `col == key` via the prebuilt hash index.
-    /// Panics if no index covers `col` (a planner bug, not a user error).
-    fn probe(&self, col: usize, key: u64) -> EdbProbe<'_>;
-
-    /// Number of rows.
-    fn len(&self) -> usize {
-        self.rows().len()
-    }
-
-    /// Whether the relation holds no rows.
-    fn is_empty(&self) -> bool {
-        self.rows().is_empty()
-    }
-}
 
 /// An immutable EDB relation (or partition slice) with its hash indexes.
 #[derive(Default)]
@@ -60,16 +41,34 @@ impl SealedRelation {
         SealedRelation { rows, indexes }
     }
 
+    /// All rows, indexed by row id.
+    #[inline]
+    pub fn rows(&self) -> &[Tuple] {
+        &self.rows
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the relation holds no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
     /// Whether an index exists on `col`.
     pub fn has_index(&self, col: usize) -> bool {
         self.indexes.contains_key(&col)
     }
 
-    /// The raw row-id bucket for `col == key` (empty when the key is
-    /// absent). Callers probing a run of equal keys can hold the bucket
-    /// across rows and resolve ids against [`EdbRead::rows`], skipping the
-    /// repeated index lookup. Panics if no index covers `col` (a planner
-    /// bug, not a user error).
+    /// The ids of the rows whose `col` has key bits `key` (empty when the
+    /// key is absent), to resolve against [`SealedRelation::rows`]. Callers
+    /// probing a run of equal keys can hold the bucket across rows,
+    /// skipping the repeated index lookup. Panics if no index covers
+    /// `col` (a planner bug, not a user error).
     #[inline]
     pub fn probe_ids(&self, col: usize, key: u64) -> &[u32] {
         self.indexes
@@ -116,45 +115,16 @@ impl SealedRelation {
     }
 }
 
-/// Iterator over probe hits (row ids resolved against the row store).
-pub struct EdbProbe<'a> {
-    rows: &'a [Tuple],
-    ids: std::slice::Iter<'a, u32>,
-}
-
-impl<'a> Iterator for EdbProbe<'a> {
-    type Item = &'a Tuple;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a Tuple> {
-        self.ids.next().map(|&i| &self.rows[i as usize])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl ExactSizeIterator for EdbProbe<'_> {}
-
-impl EdbRead for SealedRelation {
-    #[inline]
-    fn rows(&self) -> &[Tuple] {
-        &self.rows
-    }
-
-    #[inline]
-    fn probe(&self, col: usize, key: u64) -> EdbProbe<'_> {
-        EdbProbe {
-            rows: &self.rows,
-            ids: self.probe_ids(col, key).iter(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn probe(r: &SealedRelation, col: usize, key: u64) -> Vec<&Tuple> {
+        r.probe_ids(col, key)
+            .iter()
+            .map(|&i| &r.rows()[i as usize])
+            .collect()
+    }
 
     fn edges() -> Vec<Tuple> {
         vec![
@@ -168,7 +138,7 @@ mod tests {
     #[test]
     fn probe_finds_all_matches() {
         let r = SealedRelation::build(edges(), &[0]);
-        let hits: Vec<&Tuple> = r.probe(0, Tuple::from_ints(&[1]).key(0)).collect();
+        let hits = probe(&r, 0, Tuple::from_ints(&[1]).key(0));
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|t| t[0].expect_int() == 1));
     }
@@ -176,34 +146,29 @@ mod tests {
     #[test]
     fn probe_missing_key_is_empty() {
         let r = SealedRelation::build(edges(), &[1]);
-        assert_eq!(r.probe(1, 99).count(), 0);
+        assert_eq!(probe(&r, 1, 99).len(), 0);
     }
 
     #[test]
     fn duplicate_index_cols_build_once() {
         let r = SealedRelation::build(edges(), &[0, 0]);
         assert!(r.has_index(0));
-        assert_eq!(r.probe(0, Tuple::from_ints(&[2]).key(0)).count(), 1);
+        assert_eq!(probe(&r, 0, Tuple::from_ints(&[2]).key(0)).len(), 1);
     }
 
     #[test]
     fn multiple_indexes_coexist() {
         let r = SealedRelation::build(edges(), &[0, 1]);
-        assert_eq!(r.probe(1, Tuple::from_ints(&[0, 3]).key(1)).count(), 2);
-        assert_eq!(r.probe(0, Tuple::from_ints(&[3]).key(0)).count(), 1);
+        assert_eq!(probe(&r, 1, Tuple::from_ints(&[0, 3]).key(1)).len(), 2);
+        assert_eq!(probe(&r, 0, Tuple::from_ints(&[3]).key(0)).len(), 1);
     }
 
     #[test]
-    fn probe_ids_resolve_to_probe_rows() {
+    fn probe_ids_resolve_to_matching_rows() {
         let r = SealedRelation::build(edges(), &[0]);
         let key = Tuple::from_ints(&[1]).key(0);
-        let via_ids: Vec<&Tuple> = r
-            .probe_ids(0, key)
-            .iter()
-            .map(|&i| &r.rows()[i as usize])
-            .collect();
-        let via_probe: Vec<&Tuple> = r.probe(0, key).collect();
-        assert_eq!(via_ids, via_probe);
+        let want: Vec<&Tuple> = r.rows().iter().filter(|t| t.key(0) == key).collect();
+        assert_eq!(probe(&r, 0, key), want);
         assert!(r.probe_ids(0, 999).is_empty());
     }
 
@@ -226,7 +191,7 @@ mod tests {
     fn empty_relation() {
         let r = SealedRelation::build(vec![], &[0]);
         assert!(r.is_empty());
-        assert_eq!(r.probe(0, 0).count(), 0);
+        assert_eq!(probe(&r, 0, 0).len(), 0);
     }
 
     #[test]

@@ -7,11 +7,26 @@ use dcdatalog_repro::engine::{queries, Engine, EngineConfig, Tuple};
 use dcdatalog_repro::runtime::simulator::{
     figure3_workload, simulate, SimConfig, SimStrategy, SimWorkload,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// One lock for every test in this file. libtest runs a binary's tests on
+/// parallel threads, and the wall-clock shape tests (`fig9b`, `tab4`)
+/// compare timings: a sibling test sharing the CPUs inflates whichever
+/// point it overlaps. Each test holds the lock for its whole body, so no
+/// timed section shares the CPUs with another test of this file.
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; it guards no data, so the other
+    // tests can still take it.
+    EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Figure 3: DWS ≺ SSP ≺ Global on the worked example, with DWS roughly
 /// halving Global (paper: 67 vs 128 units).
 #[test]
 fn fig3_schedule_ordering() {
+    let _serial = exclusive();
     let w = figure3_workload();
     let cfg = SimConfig::default();
     let g = simulate(&w, &cfg, SimStrategy::Global).makespan;
@@ -33,6 +48,7 @@ fn fig3_schedule_ordering() {
 /// Global worst.
 #[test]
 fn fig8_strategy_ordering_at_32_workers() {
+    let _serial = exclusive();
     let edges: Vec<(u64, u64)> = datagen::livejournal_like(20_000, 0xDC_DA7A ^ 0x11)
         .iter()
         .map(|&(a, b)| (a as u64, b as u64))
@@ -50,6 +66,7 @@ fn fig8_strategy_ordering_at_32_workers() {
 /// Figure 9(a) shape: simulated makespan shrinks with workers.
 #[test]
 fn fig9a_worker_scaling_shape() {
+    let _serial = exclusive();
     let edges: Vec<(u64, u64)> = datagen::livejournal_like(20_000, 1)
         .iter()
         .map(|&(a, b)| (a as u64, b as u64))
@@ -71,6 +88,7 @@ fn fig9a_worker_scaling_shape() {
 /// Figure 9(b) shape: evaluation time grows roughly linearly with data.
 #[test]
 fn fig9b_data_scaling_shape() {
+    let _serial = exclusive();
     let mut times = Vec::new();
     for n in [2_000usize, 4_000, 8_000] {
         let edges = datagen::symmetrize(&datagen::rmat(n, 5));
@@ -100,6 +118,7 @@ fn fig9b_data_scaling_shape() {
 /// the graph.
 #[test]
 fn tab3_broadcast_exchanges_more() {
+    let _serial = exclusive();
     let mut gaps = Vec::new();
     for n in [32usize, 64] {
         let edges = datagen::weighted(&datagen::rmat(n, 3), 50, 3);
@@ -132,6 +151,7 @@ fn tab3_broadcast_exchanges_more() {
 /// extra work (the linear-scan aggregate path) without changing results.
 #[test]
 fn tab4_optimizations_speed_shape() {
+    let _serial = exclusive();
     let edges = datagen::symmetrize(&datagen::rmat(3_000, 7));
     let run = |optimized: bool| {
         let mut e = Engine::new(
