@@ -11,8 +11,8 @@
 //!    the effect; alternating runs cancel the drift because both sides
 //!    see the same machine state.
 //!
-//! The tracer's hot path is a bounds-checked ring write plus one
-//! relaxed atomic on overflow, so the budget is ~5% on this anchor; the
+//! Tracing adds one uncontended mutex acquire and a bounds-checked ring
+//! write per event, so the budget is ~5% on this anchor; the
 //! assert adds a noise margin for what the paired estimator still
 //! cannot cancel.
 //!

@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn roundtrips_the_report_shape() {
-        // The exact shape check_stats_json.sh greps for.
+        // The shape of the `--stats-json` report.
         let doc = r#"{
   "schema": 4,
   "per_worker": [

@@ -37,8 +37,8 @@ pub struct EngineConfig {
     /// the reference path the differential tests compare against.
     pub batch_kernel: bool,
     /// Record per-worker phase spans and instant marks into bounded ring
-    /// buffers (`dcd_runtime::trace`). Off by default: the tracer then
-    /// compiles down to a branch on a `false` flag per phase.
+    /// buffers (`dcd_runtime::trace`). Off by default: phase times are
+    /// still counted, and the event ring is skipped.
     pub trace: bool,
     /// Events retained per worker ring when tracing; overflow increments
     /// the worker's `dropped_events` counter instead of reallocating.

@@ -4,7 +4,7 @@ use crate::catalog::EdbCatalog;
 use crate::config::EngineConfig;
 use crate::report::EvalReport;
 use crate::store::WorkerStore;
-use crate::worker::{Coordination, Worker, WorkerStats};
+use crate::worker::{Coordination, Worker};
 use dcd_common::hash::FastMap;
 use dcd_common::{DcdError, Result, Tuple, Value};
 use dcd_frontend::ast::AggFunc;
@@ -47,8 +47,6 @@ pub struct RunStats {
     /// Wall-clock evaluation time (excludes loading, includes planning-free
     /// execution only).
     pub elapsed: Duration,
-    /// Per-worker statistics.
-    pub workers: Vec<WorkerStats>,
     /// The full observability report (per-worker counters, time splits,
     /// DWS ω/τ samples, termination totals).
     pub report: EvalReport,
@@ -57,12 +55,12 @@ pub struct RunStats {
 impl RunStats {
     /// Total local iterations across workers.
     pub fn total_iterations(&self) -> u64 {
-        self.workers.iter().map(|w| w.iterations).sum()
+        self.report.total(|w| w.iterations)
     }
 
     /// Total tuples exchanged between workers.
     pub fn total_sent(&self) -> u64 {
-        self.workers.iter().map(|w| w.sent).sum()
+        self.report.total(|w| w.tuples_sent)
     }
 }
 
@@ -206,13 +204,13 @@ impl Engine {
         // relations one sealed slice per worker. Catalog construction is
         // off the evaluation clock, like the paper's load phase.
         let catalog = EdbCatalog::build(&self.plan, &self.edb_data, &coord.part);
-        for me in 0..self.cfg.workers {
-            coord.metrics[me].record_edb_resident(catalog.partitioned_bytes(me));
+        for (me, rec) in coord.recorders.iter().enumerate() {
+            rec.record_edb_resident(catalog.partitioned_bytes(me));
         }
         let start = Instant::now();
         let n = self.cfg.workers;
 
-        let results: Vec<Result<(WorkerStore, WorkerStats)>> = std::thread::scope(|s| {
+        let results: Vec<Result<WorkerStore>> = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(n);
             for me in 0..n {
                 let coord = &coord;
@@ -258,13 +256,7 @@ impl Engine {
             }
             return Err(first_err.expect("at least one error"));
         }
-        let mut stores = Vec::with_capacity(n);
-        let mut worker_stats = Vec::with_capacity(n);
-        for r in results {
-            let (store, stats) = r?;
-            stores.push(store);
-            worker_stats.push(stats);
-        }
+        let stores = results.into_iter().collect::<Result<Vec<_>>>()?;
         let (produced, consumed) = coord.termination_totals();
         let report = EvalReport {
             strategy: self.cfg.strategy.name().to_string(),
@@ -273,22 +265,18 @@ impl Engine {
             produced,
             consumed,
             edb_replicated_bytes: catalog.replicated_bytes(),
-            per_worker: coord.metrics.iter().map(|m| m.snapshot()).collect(),
+            per_worker: coord.recorders.iter().map(|r| r.snapshot()).collect(),
             traces: coord
-                .tracers
+                .recorders
                 .iter()
                 .enumerate()
-                .map(|(i, t)| t.take(i))
+                .map(|(i, r)| r.take_trace(i))
                 .collect(),
         };
         let relations = self.collect(stores);
         Ok(EvalResult {
             relations,
-            stats: RunStats {
-                elapsed,
-                workers: worker_stats,
-                report,
-            },
+            stats: RunStats { elapsed, report },
         })
     }
 

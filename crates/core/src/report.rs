@@ -46,8 +46,7 @@ pub struct EvalReport {
     /// One snapshot per worker, indexed by worker id.
     pub per_worker: Vec<MetricsSnapshot>,
     /// One event trace per worker (empty event lists when tracing was
-    /// disabled — the tracers still exist, so overflow accounting and the
-    /// JSON shape stay uniform).
+    /// disabled, so overflow accounting and the JSON shape stay uniform).
     pub traces: Vec<WorkerTrace>,
 }
 
@@ -86,6 +85,7 @@ impl EvalReport {
     }
 
     /// Fraction of total worker-time spent idle (parked or ω-waiting).
+    /// Parked time includes the stratum-entry and post-init barriers.
     pub fn idle_fraction(&self) -> f64 {
         let busy = self.total(|w| w.gather_ns + w.iterate_ns + w.distribute_ns);
         let idle = self.total(|w| w.idle_ns + w.omega_wait_ns);

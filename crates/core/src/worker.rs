@@ -22,8 +22,8 @@ use dcd_common::{DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
-    Batch, BufferMatrix, DwsController, DwsSample, IdleOutcome, MetricsRecorder, RoundBarrier,
-    SspClock, Strategy, Termination, Tracer, WorkerEndpoints,
+    Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
+    Termination, WorkerEndpoints,
 };
 use dcd_storage::TupleCache;
 use std::borrow::Borrow;
@@ -53,12 +53,10 @@ pub struct Coordination {
     pub part: Partitioner,
     /// Per-stratum coordination.
     pub strata: Vec<StratumCoord>,
-    /// Per-worker observability (indexed by worker id).
-    pub metrics: Vec<MetricsRecorder>,
-    /// Per-worker event tracers (indexed by worker id). All share one
-    /// epoch `Instant`, so the exported tracks align on a common clock.
-    /// No-ops unless `EngineConfig::trace` is set.
-    pub tracers: Vec<Tracer>,
+    /// Per-worker recorders (indexed by worker id). When
+    /// `EngineConfig::trace` is set they also keep event timelines, all
+    /// on one epoch `Instant`, so the exported tracks align.
+    pub recorders: Vec<Recorder>,
     /// Error/timeout flag.
     pub abort: AtomicBool,
     /// Wall-clock deadline.
@@ -89,13 +87,13 @@ impl Coordination {
             buffers: BufferMatrix::new(n, cfg.queue_capacity),
             part: Partitioner::new(n),
             strata,
-            metrics: (0..n).map(|_| MetricsRecorder::default()).collect(),
-            tracers: (0..n)
+            recorders: (0..n)
                 .map(|_| {
+                    let rec = Recorder::default();
                     if cfg.trace {
-                        Tracer::new(cfg.trace_capacity, epoch)
+                        rec.with_trace(cfg.trace_capacity, epoch)
                     } else {
-                        Tracer::disabled(epoch)
+                        rec
                     }
                 })
                 .collect(),
@@ -136,19 +134,6 @@ impl Coordination {
         }
         Ok(())
     }
-}
-
-/// Per-worker statistics.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerStats {
-    /// Local iterations executed.
-    pub iterations: u64,
-    /// Delta tuples processed.
-    pub processed: u64,
-    /// Tuples sent to other workers.
-    pub sent: u64,
-    /// Batches received.
-    pub batches_in: u64,
 }
 
 /// Set-relation head rows the batched kernel buffers before Distribute
@@ -327,8 +312,7 @@ pub struct Worker<'a> {
     /// `None` for aggregate relations (their rows evolve, so exact
     /// repeats are rare) and for single-worker or unoptimized runs.
     sent_filter: Vec<Option<TupleCache>>,
-    metrics: &'a MetricsRecorder,
-    tracer: &'a Tracer,
+    rec: &'a Recorder,
 }
 
 impl<'a> Worker<'a> {
@@ -369,14 +353,13 @@ impl<'a> Worker<'a> {
             acc: PartialAgg::new(me, coord.part),
             gathered: Vec::new(),
             sent_filter,
-            metrics: &coord.metrics[me],
-            tracer: &coord.tracers[me],
+            rec: &coord.recorders[me],
         }
     }
 
     /// Runs the full evaluation for this worker; returns the final local
-    /// store and statistics.
-    pub fn run(mut self, mut store: WorkerStore) -> Result<(WorkerStore, WorkerStats)> {
+    /// store. Statistics are in the worker's [`Recorder`].
+    pub fn run(mut self, mut store: WorkerStore) -> Result<WorkerStore> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si, &mut store)?;
         }
@@ -384,32 +367,25 @@ impl<'a> Worker<'a> {
         // counters into the recorder so the engine-level snapshot carries
         // them.
         let (hits, misses) = store.cache_totals();
-        self.metrics.record_cache(hits, misses);
+        self.rec.record_cache(hits, misses);
         for f in self.sent_filter.iter().flatten() {
             let (h, m) = f.stats();
-            self.metrics.record_cache(h, m);
+            self.rec.record_cache(h, m);
         }
-        self.metrics
+        self.rec
             .record_probes(self.scratch.probe_hits, self.scratch.probe_reuse);
-        let snap = self.metrics.snapshot();
-        let stats = WorkerStats {
-            iterations: snap.iterations,
-            processed: snap.tuples_processed,
-            sent: snap.tuples_sent,
-            batches_in: snap.batches_in,
-        };
-        Ok((store, stats))
+        Ok(store)
     }
 
     fn run_stratum(&mut self, si: usize, store: &mut WorkerStore) -> Result<()> {
         let sc = &self.coord.strata[si];
-        let te = Instant::now();
+        let idle = self.rec.phase(Phase::Idle);
         sc.entry.wait();
-        self.tracer.span(Phase::Idle, te, self.metrics.iterations());
+        idle.end();
         self.coord.check_deadline()?;
 
         // ---- Init phase: base rules + inline facts ----
-        let ti = Instant::now();
+        let eval = self.rec.phase(Phase::EvalDelta);
         let stratum = &self.plan.strata[si];
         {
             let mut rows = Vec::new();
@@ -428,12 +404,12 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        self.end_eval(ti, 0);
+        eval.end();
         let mut delta = DeltaSet::new();
         self.distribute(si, store, &mut delta, &mut None)?;
-        let tp = Instant::now();
+        let idle = self.rec.phase(Phase::Idle);
         sc.post_init.wait();
-        self.tracer.span(Phase::Idle, tp, self.metrics.iterations());
+        idle.end();
 
         // ---- Fixpoint phase ----
         match &self.cfg.strategy {
@@ -458,32 +434,18 @@ impl<'a> Worker<'a> {
         // is already in `delta`/queues; the first round drains and counts.
         loop {
             self.coord.check_deadline()?;
-            let tg = Instant::now();
+            let gather = self.rec.phase(Phase::Gather);
             self.drain(si, store, &mut delta, None);
-            self.metrics.add_gather(tg.elapsed());
-            self.tracer
-                .span(Phase::Gather, tg, self.metrics.iterations());
+            gather.end();
             let processed = delta.len() as u64;
             let (local_new, remote_sent) = self.iterate(si, store, &mut delta, &mut None)?;
             let produced = remote_sent + local_new;
-            self.tracer.instant(
-                Mark::Iteration,
-                self.metrics.iterations().saturating_sub(1),
-                processed,
-                local_new + remote_sent,
-                self.coord.buffers.inbound_len(self.me) as u64,
-            );
-            let tb = Instant::now();
+            let queued = self.coord.buffers.inbound_len(self.me) as u64;
+            self.rec.mark(Mark::Iteration, processed, produced, queued);
+            let idle = self.rec.phase(Phase::Idle);
             let cont = self.coord.strata[si].round.arrive(produced);
-            self.metrics.add_idle(tb.elapsed());
-            self.tracer.span(Phase::Idle, tb, self.metrics.iterations());
-            self.tracer.instant(
-                Mark::TerminationRound,
-                self.metrics.iterations(),
-                cont as u64,
-                0,
-                0,
-            );
+            idle.end();
+            self.rec.mark(Mark::TerminationRound, cont as u64, 0, 0);
             if !cont {
                 if self.coord.abort.load(Ordering::SeqCst) {
                     return Err(DcdError::Execution("evaluation aborted".into()));
@@ -505,43 +467,28 @@ impl<'a> Worker<'a> {
         let is_ssp = matches!(self.cfg.strategy, Strategy::Ssp { .. });
         loop {
             self.coord.check_deadline()?;
-            let tg = Instant::now();
+            let gather = self.rec.phase(Phase::Gather);
             self.drain(si, store, &mut delta, dws.as_mut());
-            self.metrics.add_gather(tg.elapsed());
-            self.tracer
-                .span(Phase::Gather, tg, self.metrics.iterations());
+            gather.end();
 
             if delta.is_empty() {
                 // Local fixpoint: park until new work or global fixpoint.
                 if is_ssp {
                     sc.ssp.finish(self.me);
                 }
-                let ti = Instant::now();
+                let idle = self.rec.phase(Phase::Idle);
                 let outcome = sc.termination.idle_wait(|| self.endpoints.has_inbound());
-                self.metrics.add_idle(ti.elapsed());
-                self.tracer.span(Phase::Idle, ti, self.metrics.iterations());
+                idle.end();
+                let more = outcome == IdleOutcome::Work;
+                self.rec.mark(Mark::TerminationRound, more as u64, 0, 0);
                 match outcome {
                     IdleOutcome::Done => {
-                        self.tracer.instant(
-                            Mark::TerminationRound,
-                            self.metrics.iterations(),
-                            0,
-                            0,
-                            0,
-                        );
                         if self.coord.abort.load(Ordering::SeqCst) {
                             return Err(DcdError::Execution("evaluation aborted".into()));
                         }
                         return Ok(());
                     }
                     IdleOutcome::Work => {
-                        self.tracer.instant(
-                            Mark::TerminationRound,
-                            self.metrics.iterations(),
-                            1,
-                            0,
-                            0,
-                        );
                         if is_ssp {
                             sc.ssp.rejoin(self.me);
                         }
@@ -555,12 +502,9 @@ impl<'a> Worker<'a> {
             if let Some(ctrl) = dws.as_mut() {
                 let omega = ctrl.omega();
                 if delta.len() < omega {
-                    let tw = Instant::now();
-                    let deadline = tw + ctrl.tau();
-                    while delta.len() < omega
-                        && Instant::now() < deadline
-                        && !sc.termination.is_done()
-                    {
+                    let wait = self.rec.phase(Phase::OmegaWait);
+                    let tau = ctrl.tau();
+                    while delta.len() < omega && wait.elapsed() < tau && !sc.termination.is_done() {
                         if self.endpoints.has_inbound() {
                             // The controller must see these batches too:
                             // dropping them here systematically
@@ -571,20 +515,10 @@ impl<'a> Worker<'a> {
                             std::thread::sleep(Duration::from_micros(5));
                         }
                     }
-                    self.metrics.add_omega_wait(tw.elapsed());
-                    self.tracer
-                        .span(Phase::OmegaWait, tw, self.metrics.iterations());
+                    wait.end();
                 }
                 ctrl.update_params();
-                self.metrics.push_sample(DwsSample {
-                    iteration: self.metrics.iterations(),
-                    omega: ctrl.omega() as u64,
-                    tau_ns: ctrl.tau().as_nanos() as u64,
-                    delta_len: delta.len() as u64,
-                });
-                self.tracer.instant(
-                    Mark::DwsDecision,
-                    self.metrics.iterations(),
+                self.rec.dws_decision(
                     ctrl.omega() as u64,
                     ctrl.tau().as_nanos() as u64,
                     delta.len() as u64,
@@ -604,13 +538,10 @@ impl<'a> Worker<'a> {
             if let Some(ctrl) = dws.as_mut() {
                 ctrl.on_iteration(processed, t0.elapsed());
             }
-            self.tracer.instant(
-                Mark::Iteration,
-                self.metrics.iterations().saturating_sub(1),
-                processed as u64,
-                local_new + remote_sent,
-                self.coord.buffers.inbound_len(self.me) as u64,
-            );
+            let queued = self.coord.buffers.inbound_len(self.me) as u64;
+            let produced = local_new + remote_sent;
+            self.rec
+                .mark(Mark::Iteration, processed as u64, produced, queued);
             if is_ssp {
                 sc.ssp.advance(self.me);
             }
@@ -663,13 +594,13 @@ impl<'a> Worker<'a> {
         delta: &mut DeltaSet,
         dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
-        let mut t0 = Instant::now();
+        let mut eval = self.rec.phase(Phase::EvalDelta);
         let plan = self.plan;
         let stratum = &plan.strata[si];
         let mut rows = delta.take();
         self.coalesce(&mut rows);
         let nrows = rows.len() as u64;
-        self.metrics.note_iteration(nrows);
+        self.rec.note_iteration(nrows);
         let (mut local_new, mut remote_sent) = (0, 0);
         if self.cfg.batch_kernel {
             // Cluster the delta by (rel, route): each cluster runs as
@@ -706,14 +637,14 @@ impl<'a> Worker<'a> {
                             &mut self.scratch,
                             &mut |t| acc.push(plan, head, t),
                         );
-                        self.metrics.note_kernel_batch(group.len() as u64);
+                        self.rec.note_kernel_batch(group.len() as u64);
                     }
                     if self.acc.set_rows() >= FLUSH_ROWS {
-                        self.end_eval(t0, nrows);
+                        eval.end_args(nrows, 0, 0);
                         let (l, r) = self.distribute(si, store, delta, dws)?;
                         local_new += l;
                         remote_sent += r;
-                        t0 = Instant::now();
+                        eval = self.rec.phase(Phase::EvalDelta);
                     }
                 }
                 start = end;
@@ -735,23 +666,10 @@ impl<'a> Worker<'a> {
                 }
             }
         }
-        self.end_eval(t0, nrows);
+        eval.end_args(nrows, 0, 0);
         delta.recycle(rows);
         let (l, r) = self.distribute(si, store, delta, dws)?;
         Ok((local_new + l, remote_sent + r))
-    }
-
-    /// Closes an EvalDelta interval that began at `t0`.
-    fn end_eval(&self, t0: Instant, nrows: u64) {
-        self.metrics.add_iterate(t0.elapsed());
-        self.tracer.span_args(
-            Phase::EvalDelta,
-            t0,
-            self.metrics.iterations().saturating_sub(1),
-            nrows,
-            0,
-            0,
-        );
     }
 
     /// Routes derived tuples (Distribute): local merges feed the next
@@ -766,7 +684,8 @@ impl<'a> Worker<'a> {
         delta: &mut DeltaSet,
         dws: &mut Option<&mut DwsController>,
     ) -> Result<(u64, u64)> {
-        let t0 = Instant::now();
+        let rec = self.rec;
+        let phase = rec.phase(Phase::Distribute);
         let termination = &self.coord.strata[si].termination;
         let mut local_new = 0u64;
         let mut remote_sent = 0u64;
@@ -828,7 +747,7 @@ impl<'a> Worker<'a> {
                 let k = piece.len() as u64;
                 termination.note_produced(k);
                 remote_sent += k;
-                self.metrics.note_batch_out(k, piece.payload_bytes());
+                rec.note_batch_out(k, piece.payload_bytes());
                 let mut batch = Batch {
                     rel: rel as u32,
                     route: 0, // receivers re-derive applicable routes
@@ -836,7 +755,9 @@ impl<'a> Worker<'a> {
                     sent_at: Instant::now(),
                     from: self.me,
                 };
-                let mut tbp: Option<Instant> = None;
+                // One Backpressure phase per batch that hit a full queue,
+                // covering the whole retry window.
+                let mut backpressure = None;
                 loop {
                     match self.endpoints.send(dest, batch) {
                         Ok(()) => break,
@@ -845,33 +766,20 @@ impl<'a> Worker<'a> {
                             if self.coord.abort.load(Ordering::SeqCst) {
                                 return Err(DcdError::Execution("evaluation aborted".into()));
                             }
-                            if self.tracer.is_enabled() && tbp.is_none() {
-                                tbp = Some(Instant::now());
-                            }
-                            self.metrics.note_backpressure_retry();
+                            backpressure.get_or_insert_with(|| rec.nested(Phase::Backpressure));
+                            rec.note_backpressure_retry();
                             self.drain_into(si, store, delta, dws);
                             std::thread::yield_now();
                         }
                     }
                 }
-                if let Some(t) = tbp {
-                    // One span per batch that hit a full queue, covering
-                    // the whole retry window (nests inside Distribute).
-                    self.tracer
-                        .span(Phase::Backpressure, t, self.metrics.iterations());
+                if let Some(backpressure) = backpressure {
+                    backpressure.end();
                 }
             }
         }
-        self.metrics.note_local_new(local_new);
-        self.metrics.add_distribute(t0.elapsed());
-        self.tracer.span_args(
-            Phase::Distribute,
-            t0,
-            self.metrics.iterations().saturating_sub(1),
-            local_new,
-            remote_sent,
-            0,
-        );
+        rec.note_local_new(local_new);
+        phase.end_args(local_new, remote_sent, 0);
         Ok((local_new, remote_sent))
     }
 
@@ -965,13 +873,13 @@ impl<'a> Worker<'a> {
         dws: &mut Option<&mut DwsController>,
     ) {
         let termination = &self.coord.strata[si].termination;
-        let tm = self.tracer.is_enabled().then(Instant::now);
+        let merge = self.rec.nested(Phase::Merge);
         let mut batches = 0u64;
         let mut new = 0u64;
         for j in 0..self.cfg.workers {
             while let Some(batch) = self.endpoints.recv(j) {
                 let k = batch.len() as u64;
-                self.metrics.note_batch_in(k, batch.payload_bytes());
+                self.rec.note_batch_in(k, batch.payload_bytes());
                 if let Some(ctrl) = dws.as_deref_mut() {
                     ctrl.on_batch(batch.from, batch.len(), batch.sent_at);
                 }
@@ -991,14 +899,11 @@ impl<'a> Worker<'a> {
                 termination.note_consumed(k);
             }
         }
-        self.metrics.note_local_new(new);
+        self.rec.note_local_new(new);
         if batches > 0 {
-            if let Some(tm) = tm {
-                // Nested inside whichever phase drained: Gather, ω-wait
-                // or a backpressure retry.
-                self.tracer
-                    .span_args(Phase::Merge, tm, self.metrics.iterations(), batches, new, 0);
-            }
+            // Nested inside whichever phase drained: Gather, ω-wait or a
+            // backpressure retry.
+            merge.end_args(batches, new, 0);
         }
     }
 }

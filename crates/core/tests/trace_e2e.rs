@@ -186,3 +186,59 @@ fn tiny_ring_truncates_and_reports_drops() {
     let json = rep.to_json();
     assert!(!json.contains("\"dropped_events\":0") || total_dropped > 0);
 }
+
+#[test]
+fn phase_counters_equal_their_spans() {
+    // Each phase interval is recorded once, so on a traced run with no
+    // dropped events every per-worker `*_ns` counter equals the summed
+    // durations of that phase's spans, to the nanosecond. These five
+    // phases never nest, so all their spans are top-level. The DWS
+    // samples and the controller instants are the same decisions.
+    use dcd_runtime::trace::Phase;
+    use dcd_runtime::DwsSample;
+    for (qname, prog) in [("tc", queries::tc()), ("sg", queries::sg())] {
+        for w in [1usize, 2] {
+            for s in [Strategy::Global, Strategy::Ssp { s: 2 }, Strategy::Dws] {
+                let cfg = EngineConfig::with_workers(w).strategy(s).tracing(true);
+                let name = format!("{qname} {} x{w}", cfg.strategy.name());
+                let r = run_traced(prog.clone().unwrap(), cfg);
+                let rep = &r.stats.report;
+                for (tr, snap) in rep.traces.iter().zip(&rep.per_worker) {
+                    let i = tr.worker;
+                    assert_eq!(tr.dropped, 0, "{name} w{i}");
+                    let span_ns = |phase: Phase| -> u64 {
+                        tr.events
+                            .iter()
+                            .filter(|e| e.kind == EventKind::Span(phase))
+                            .map(|e| e.dur)
+                            .sum()
+                    };
+                    for (phase, counter) in [
+                        (Phase::Gather, snap.gather_ns),
+                        (Phase::EvalDelta, snap.iterate_ns),
+                        (Phase::Distribute, snap.distribute_ns),
+                        (Phase::OmegaWait, snap.omega_wait_ns),
+                        (Phase::Idle, snap.idle_ns),
+                    ] {
+                        assert_eq!(counter, span_ns(phase), "{name} w{i} {}", phase.name());
+                    }
+                    let decisions: Vec<DwsSample> = tr
+                        .events
+                        .iter()
+                        .filter(|e| e.kind == EventKind::Instant(Mark::DwsDecision))
+                        .map(|e| DwsSample {
+                            iteration: e.iteration,
+                            omega: e.a,
+                            tau_ns: e.b,
+                            delta_len: e.c,
+                        })
+                        .collect();
+                    let recorded = snap.dws_samples.len() as u64 + snap.samples_dropped;
+                    assert_eq!(recorded, decisions.len() as u64, "{name} w{i}");
+                    let tail = &decisions[decisions.len() - snap.dws_samples.len()..];
+                    assert_eq!(snap.dws_samples, tail, "{name} w{i}");
+                }
+            }
+        }
+    }
+}
