@@ -298,3 +298,56 @@ fn pagerank_totals_match_reference_within_epsilon() {
         assert!(dv < 1e-6, "rank mismatch: {g:?} vs {w:?}");
     }
 }
+
+/// Probes an aggregate relation on its aggregated column: `same` joins
+/// `cc2` on the component label, so the planner indexes `cc2`'s value
+/// column (and broadcasts `cc2`, since that column cannot route). Every
+/// label improvement moves the group's row between posting lists; a row
+/// missing from its current list loses `same` pairs.
+const SAME_COMPONENT: &str = "
+cc2(Y, min<Y>) <- arc(Y, _).
+cc2(Y, min<Z>) <- cc2(X, Z), arc(X, Y).
+same(X, Y) <- cc2(X, L), cc2(Y, L), X != Y.
+";
+
+#[test]
+fn same_component_probes_the_aggregate_value_column() {
+    use dcd_frontend::physical::{plan, PlannerConfig};
+    let program = dcdatalog::Program::parse(SAME_COMPONENT).unwrap();
+    let p = plan(program.analyzed(), &PlannerConfig::default()).unwrap();
+    let cc2 = p.idb[p.rel_by_name("cc2").unwrap()].as_ref().unwrap();
+    assert!(cc2.index_cols.contains(&1), "{:?}", cc2.index_cols);
+    assert!(cc2.broadcast);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn value_column_probe_matches_reference(edges in edges_strategy(10, 24)) {
+        let sym = dcd_datagen::symmetrize(&edges);
+        let mut reference = Reference::new(SAME_COMPONENT).unwrap();
+        reference.load_edges("arc", &sym);
+        let expected = reference.run().unwrap();
+        for workers in [1, 2, 4] {
+            for strat in [Strategy::Global, Strategy::Ssp { s: 1 }, Strategy::Dws] {
+                let got = run_engine(
+                    dcdatalog::Program::parse(SAME_COMPONENT).unwrap(),
+                    &[("arc", to_tuples(&sym))],
+                    workers,
+                    strat.clone(),
+                );
+                for (name, rows) in &got {
+                    prop_assert_eq!(
+                        rows,
+                        &expected[name.as_str()],
+                        "{} workers={} {}",
+                        name,
+                        workers,
+                        strat.name()
+                    );
+                }
+            }
+        }
+    }
+}

@@ -40,7 +40,7 @@ fn build_tc() -> (PhysicalPlan, WorkerStore) {
     let mut data: Vec<Option<Vec<Tuple>>> = vec![None; p.edb.len()];
     data[arc] = Some(rows);
     let catalog = EdbCatalog::build(&p, &data, &Partitioner::new(1));
-    let store = WorkerStore::build(&p, &catalog, 0, true, 64);
+    let store = WorkerStore::build(&p, &catalog, 0, true);
     (p, store)
 }
 

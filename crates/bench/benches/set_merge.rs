@@ -10,9 +10,8 @@
 //!   [`SetRelation::insert_batch`] in the engine's flush-sized groups;
 //! * `tuple_cache_then_batch` — the same batches behind a §6.2.2
 //!   existence cache ([`TupleCache`]), the design the arena replaced;
-//! * `hash_postings_*` / `bptree_postings_*` — building the row-id
-//!   posting lists of one probed column, and probing every key, with the
-//!   arena's hash map against a B+-tree keyed the same way.
+//! * `hash_postings_*` — building the row-id posting lists of one probed
+//!   column, and probing every key.
 //!
 //! Every case's result is asserted equal to the others' before anything
 //! is timed.
@@ -23,7 +22,7 @@
 use dcd_bench::microbench::Harness;
 use dcd_common::hash::{FastMap, FastSet};
 use dcd_common::Tuple;
-use dcd_storage::{BPlusTree, SetRelation, TupleCache};
+use dcd_storage::{SetRelation, TupleCache};
 use std::hint::black_box;
 
 const VERTICES: usize = 512;
@@ -85,21 +84,6 @@ fn by_cache_then_batch(stream: &[Tuple]) -> SetRelation {
     rel
 }
 
-/// The arena plus B+-tree postings on column 0, maintained for new rows.
-fn by_batch_bptree(stream: &[Tuple]) -> (SetRelation, BPlusTree<Vec<u32>>) {
-    let mut rel = SetRelation::with_index_cols(&[]);
-    let mut tree: BPlusTree<Vec<u32>> = BPlusTree::new();
-    for group in stream.chunks(FLUSH_ROWS) {
-        let n = rel.insert_batch(group);
-        let first = rel.len() - n;
-        for (id, row) in rel.rows()[first..].iter().enumerate() {
-            tree.or_insert_with(row.key(0), Vec::new)
-                .push((first + id) as u32);
-        }
-    }
-    (rel, tree)
-}
-
 fn main() {
     let mut h = Harness::from_args();
     let stream = tc_merge_stream();
@@ -107,8 +91,8 @@ fn main() {
         .map(|v| Tuple::from_ints(&[v]).key(0))
         .collect();
 
-    // Every path must merge to the same arena, and both posting indexes
-    // must answer every probe identically, before anything is timed.
+    // Every path must merge to the same arena, and every probe must
+    // return exactly the rows with its key, before anything is timed.
     let reference = by_insert(&stream);
     assert!(
         reference.len() * 4 < stream.len(),
@@ -117,16 +101,18 @@ fn main() {
         stream.len()
     );
     let hashed = by_batch(&stream, &[0]);
-    let (plain, tree) = by_batch_bptree(&stream);
-    for rel in [&hashed, &plain, &by_cache_then_batch(&stream)] {
+    for rel in [
+        &hashed,
+        &by_batch(&stream, &[]),
+        &by_cache_then_batch(&stream),
+    ] {
         assert_eq!(rel.rows(), reference.rows(), "merge paths disagree");
     }
     for &k in &keys {
-        assert_eq!(
-            hashed.probe_ids(0, k),
-            tree.get(k).map_or(&[][..], Vec::as_slice),
-            "postings disagree on key {k}"
-        );
+        let want: Vec<u32> = (0..reference.len() as u32)
+            .filter(|&id| reference.rows()[id as usize].key(0) == k)
+            .collect();
+        assert_eq!(hashed.probe_ids(0, k), want, "postings wrong on key {k}");
     }
     println!(
         "tc merge stream: {} head rows, {} distinct",
@@ -146,20 +132,10 @@ fn main() {
     h.bench("set_merge", "hash_postings_build", || {
         black_box(by_batch(black_box(&stream), &[0]));
     });
-    h.bench("set_merge", "bptree_postings_build", || {
-        black_box(by_batch_bptree(black_box(&stream)));
-    });
     h.bench("set_merge", "hash_postings_probe", || {
         let mut n = 0;
         for &k in black_box(&keys) {
             n += hashed.probe_ids(0, k).len();
-        }
-        black_box(n);
-    });
-    h.bench("set_merge", "bptree_postings_probe", || {
-        let mut n = 0;
-        for &k in black_box(&keys) {
-            n += tree.get(k).map_or(0, Vec::len);
         }
         black_box(n);
     });

@@ -61,8 +61,9 @@ options:
   --timeout SECS        abort evaluation after SECS seconds
   --print REL           print only this relation (repeatable; default all)
   --limit N             max rows printed per relation (default 20; 0 = all)
-  --no-optimizations    disable the aggregate-index and existence-cache
-                        optimizations (the paper's Table-4 ablation)
+  --no-optimizations    the paper's Table-4 ablation: aggregate merges find
+                        their group by a linear scan first, and Distribute
+                        sends every row without the sent-filter cache
   --stats-json PATH     write the per-worker observability report (counters,
                         time splits, DWS ω/τ samples, per-iteration series)
                         as JSON; '-' = stdout

@@ -3,9 +3,10 @@
 //! (engine and simulator). Each test drives the built `dcdatalog` binary
 //! and parses its output with `dcd_common::json`.
 //!
-//! `stats_json_*` backs the `metrics-smoke` CI job and `trace_json_*` the
-//! `trace-smoke` job: `cargo test -p dcd-cli --test report_json stats_json`
-//! and `… trace_json`.
+//! `stats_json_*` backs the `metrics-smoke` CI job, `trace_json_*` the
+//! `trace-smoke` job and `memory_json` the `memory-smoke` job:
+//! `cargo test -p dcd-cli --test report_json stats_json`, `… trace_json`
+//! and `… memory_json`.
 
 use dcd_common::Json;
 use std::path::{Path, PathBuf};
@@ -57,8 +58,12 @@ fn num(doc: &Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("numeric field \"{key}\" missing"))
 }
 
+fn program(name: &str) -> String {
+    format!("{}/../../programs/{name}.dl", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn tc_program() -> String {
-    format!("{}/../../programs/tc.dl", env!("CARGO_MANIFEST_DIR"))
+    program("tc")
 }
 
 /// A small dense-ish graph: 120 edges over 40 vertices, cycles included,
@@ -261,4 +266,66 @@ fn trace_json_engine_and_simulator_share_the_schema() {
             );
         }
     }
+}
+
+/// Replicated EDB residency is flat in the worker count (DESIGN.md §7).
+/// The shared catalog builds every replicated base relation once and hands
+/// each worker an `Arc` to the same sealed copy, so the run-level
+/// `edb_replicated_bytes` at 4 workers stays within 1.1× of the 1-worker
+/// run. SG exercises that path: its `arc` is probed on both columns, so
+/// the planner replicates it. TC partitions its EDB: it must report no
+/// replicated bytes and a non-zero partitioned residency
+/// (`edb_resident_bytes`, summed over workers).
+#[test]
+fn memory_json_replicated_residency_is_flat_in_workers() {
+    let dir = TempDir::new("memory-json");
+    // A two-level tree: SG derives real same-generation pairs.
+    let tree_path = dir.path("tree.csv");
+    let tree: String = (1..=30).map(|i| format!("{} {i}\n", (i - 1) / 3)).collect();
+    std::fs::write(&tree_path, tree).unwrap();
+    let tree = tree_path.to_str().unwrap().to_string();
+    let edges = write_edges(&dir);
+    // (replicated bytes, summed partitioned residency) at 1 and 4 workers.
+    let measure = |q: &str, arc: &str| -> [(u64, u64); 2] {
+        [1, 4].map(|w| {
+            let out = dir.path(&format!("{q}{w}.json"));
+            let arc = format!("arc={arc}");
+            let workers = w.to_string();
+            dcdatalog(&[
+                "run",
+                &program(q),
+                "--edb",
+                &arc,
+                "--workers",
+                &workers,
+                "--limit",
+                "1",
+                "--stats-json",
+                out.to_str().unwrap(),
+            ]);
+            let doc = parse(&out);
+            let resident = doc
+                .get("per_worker")
+                .and_then(Json::items)
+                .unwrap()
+                .iter()
+                .map(|w| num(w, "edb_resident_bytes"))
+                .sum();
+            (num(&doc, "edb_replicated_bytes"), resident)
+        })
+    };
+
+    let [(sg1, _), (sg4, _)] = measure("sg", &tree);
+    assert!(
+        sg1 > 0 && sg4 > 0,
+        "sg: expected a replicated EDB, got {sg1}/{sg4} bytes"
+    );
+    assert!(
+        10 * sg4 <= 11 * sg1,
+        "sg: replicated residency scaled with workers: {sg1}B -> {sg4}B"
+    );
+
+    let [_, (tc_rep4, tc_res4)] = measure("tc", &edges);
+    assert_eq!(tc_rep4, 0, "tc: partitioned EDB reported replicated bytes");
+    assert!(tc_res4 > 0, "tc: no partitioned EDB residency reported");
 }

@@ -91,6 +91,16 @@ impl Tuple {
         }
     }
 
+    /// The values as a mutable slice: the arity stays fixed, the values
+    /// may change in place.
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        match self {
+            Tuple::Inline { len, vals } => &mut vals[..*len as usize],
+            Tuple::Spilled(v) => v,
+        }
+    }
+
     /// Projects the tuple onto the given column indices.
     pub fn project(&self, cols: &[usize]) -> Tuple {
         let vals = self.values();

@@ -10,10 +10,13 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Coordination strategy (§4): Global, SSP(s) or DWS.
     pub strategy: Strategy,
-    /// Enable the §6.2 optimizations (aggregate-aware index lookups and
-    /// the existence-check cache). Disabled for the Table-4 ablation.
+    /// Enable the §6.2 optimizations. Off (the Table-4 ablation), every
+    /// aggregate merge first finds its group by a linear scan of the
+    /// relation instead of only through the group index (§6.2.1), and
+    /// Distribute sends every head row without the sent-filter, the
+    /// existence-check cache of §6.2.2.
     pub optimized: bool,
-    /// Existence-cache slots per worker per relation.
+    /// Sent-filter slots per worker per set relation.
     pub cache_slots: usize,
     /// ε for `sum` aggregate convergence (PageRank).
     pub sum_epsilon: f64,
@@ -82,7 +85,9 @@ impl EngineConfig {
         self
     }
 
-    /// Convenience: toggle the §6.2 optimizations.
+    /// Convenience: toggle the §6.2 optimizations (see
+    /// [`EngineConfig::optimized`]: the linear-scan ablation of aggregate
+    /// merges and the sent-filter).
     pub fn optimizations(mut self, on: bool) -> Self {
         self.optimized = on;
         self

@@ -218,8 +218,7 @@ impl Engine {
                 let cfg = &self.cfg;
                 let catalog = &catalog;
                 handles.push(s.spawn(move || {
-                    let store =
-                        WorkerStore::build(plan, catalog, me, cfg.optimized, cfg.cache_slots);
+                    let store = WorkerStore::build(plan, catalog, me, cfg.optimized);
                     let worker = Worker::new(plan, cfg, coord, me);
                     let out = worker.run(store);
                     if out.is_err() {

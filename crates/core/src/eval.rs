@@ -218,21 +218,10 @@ impl Evaluator<'_> {
                 }
             }
             let (_, bucket) = cached.as_ref().expect("bucket cached above");
-            match *bucket {
-                Bucket::Rows(rows) => {
-                    for cand in rows {
-                        if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
-                            self.run_steps(rule, store, 1, regs, &mut counting);
-                        }
-                    }
-                }
-                Bucket::Ids { rows, ids } => {
-                    for &id in ids {
-                        let cand = &rows[id as usize];
-                        if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
-                            self.run_steps(rule, store, 1, regs, &mut counting);
-                        }
-                    }
+            for &id in bucket.ids {
+                let cand = &bucket.rows[id as usize];
+                if apply_binds(cand, &step.binds, regs) && apply_level(step, regs) {
+                    self.run_steps(rule, store, 1, regs, &mut counting);
                 }
             }
         }
@@ -289,21 +278,11 @@ impl Evaluator<'_> {
                 // call returns, so the bucket can be borrowed directly;
                 // binds re-verify the probe column exactly.
                 let key_bits = key.eval(regs).key_bits();
-                match store.probe(target, *col, key_bits) {
-                    Bucket::Rows(rows) => {
-                        for row in rows {
-                            if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                                self.run_steps(rule, store, k + 1, regs, sink);
-                            }
-                        }
-                    }
-                    Bucket::Ids { rows, ids } => {
-                        for &id in ids {
-                            let row = &rows[id as usize];
-                            if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
-                                self.run_steps(rule, store, k + 1, regs, sink);
-                            }
-                        }
+                let Bucket { rows, ids } = store.probe(target, *col, key_bits);
+                for &id in ids {
+                    let row = &rows[id as usize];
+                    if apply_binds(row, &step.binds, regs) && apply_level(step, regs) {
+                        self.run_steps(rule, store, k + 1, regs, sink);
                     }
                 }
             }
@@ -354,7 +333,7 @@ mod tests {
             data[id] = Some(rows.clone());
         }
         let catalog = crate::catalog::EdbCatalog::build(&p, &data, &Partitioner::new(1));
-        let store = WorkerStore::build(&p, &catalog, 0, true, 64);
+        let store = WorkerStore::build(&p, &catalog, 0, true);
         (p, store)
     }
 
@@ -480,7 +459,7 @@ mod tests {
         let catalog = crate::catalog::EdbCatalog::build(&p, &data, &part);
         let mut all = Vec::new();
         for me in 0..2 {
-            let store = WorkerStore::build(&p, &catalog, me, true, 64);
+            let store = WorkerStore::build(&p, &catalog, me, true);
             let ev = Evaluator {
                 plan: &p,
                 me,
@@ -511,7 +490,7 @@ mod tests {
         let part = Partitioner::new(3);
         let catalog = crate::catalog::EdbCatalog::build(&p, &data, &part);
         for me in 0..3 {
-            let store = WorkerStore::build(&p, &catalog, me, true, 64);
+            let store = WorkerStore::build(&p, &catalog, me, true);
             let ev = Evaluator {
                 plan: &p,
                 me,

@@ -5,18 +5,18 @@
 //! taken from the shared [`EdbCatalog`](crate::catalog::EdbCatalog)
 //! (replicated relations point at the *same* sealed allocation on every
 //! worker; partitioned relations at this worker's slice) and a [`RecStore`]
-//! per derived relation. A set relation is one [`SetRelation`] arena that
-//! merges, probes and scans by itself; an aggregate relation combines the
-//! Gather merge logic (§5.2.2), the aggregate-aware index (§6.2.1), the
-//! existence-check cache (§6.2.2) and secondary probe indexes.
+//! per derived relation. Both kinds of derived relation are row arenas
+//! with a hashed row-id table and row-id postings: a [`SetRelation`]
+//! merges, probes and scans by itself, and an [`AggRelation`] holds the
+//! Gather merge logic (§5.2.2) with the aggregate state inside its group
+//! index (§6.2.1). Every probe therefore answers with row ids.
 
 use crate::catalog::EdbCatalog;
 use dcd_common::{Tuple, Value, WorkerId};
 use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind, Target};
-use dcd_storage::{
-    AggCache, AggFunc as StAggFunc, AggRelation, BPlusTree, SealedRelation, SetRelation,
-};
+use dcd_storage::aggregate::MergeOutcome;
+use dcd_storage::{AggFunc as StAggFunc, AggRelation, SealedRelation, SetRelation};
 use std::sync::Arc;
 
 /// Outcome of merging one incoming row.
@@ -28,104 +28,36 @@ pub enum Merged {
     Old,
 }
 
-/// The rows one index probe matched.
+/// The rows one index probe matched: ids into a relation's row arena.
 #[derive(Clone, Copy, Debug)]
-pub enum Bucket<'a> {
-    /// Row ids resolved against a row store: base and set relations.
-    Ids {
-        /// The relation's rows, indexed by row id.
-        rows: &'a [Tuple],
-        /// Ids of the matching rows.
-        ids: &'a [u32],
-    },
-    /// The matching logical rows of an aggregate relation.
-    Rows(&'a [Tuple]),
+pub struct Bucket<'a> {
+    /// The relation's rows, indexed by row id.
+    pub rows: &'a [Tuple],
+    /// Ids of the matching rows.
+    pub ids: &'a [u32],
 }
 
-/// Secondary probe index of an aggregate relation: column → bucket of
-/// current logical rows. Rows with equal leading `group_cols` replace
-/// each other.
-struct SecondaryIndex {
-    col: usize,
-    map: BPlusTree<Vec<Tuple>>,
-    group_cols: usize,
-}
-
-impl SecondaryIndex {
-    fn upsert(&mut self, row: &Tuple) {
-        let key = row.key(self.col);
-        let bucket = self.map.or_insert_with(key, Vec::new);
-        let g = self.group_cols;
-        match bucket
-            .iter_mut()
-            .find(|r| r.values()[..g] == row.values()[..g])
-        {
-            Some(slot) => *slot = row.clone(),
-            None => bucket.push(row.clone()),
-        }
-    }
-
-    fn probe(&self, key: u64) -> &[Tuple] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-}
-
-/// An aggregate relation with its cache and secondary indexes.
+/// An aggregate relation and its merge options.
 pub struct AggStore {
     rel: AggRelation,
-    func: AggFunc,
-    group_cols: usize,
-    secondary: Vec<SecondaryIndex>,
-    cache: Option<AggCache>,
-    /// §6.2 optimizations enabled? When off, merges locate their group by
-    /// a linear scan (the pre-optimization behaviour of §6.2.1) and the
-    /// cache is bypassed.
+    /// §6.2 optimizations enabled? When off, merges first locate their
+    /// group by a linear scan (the pre-optimization behaviour of §6.2.1).
     optimized: bool,
 }
 
 impl AggStore {
     fn merge(&mut self, row: &Tuple) -> Merged {
-        let (func, group_cols) = (self.func, self.group_cols);
-        // Cache pre-check (min/max only): prune non-improving rows
-        // without touching the B+-tree.
-        if let Some(cache) = &mut self.cache {
-            let group = row.prefix(group_cols);
-            if let Some(cached) = cache.get(&group) {
-                let candidate = row.values()[group_cols];
-                let non_improving = match func {
-                    AggFunc::Min => candidate >= cached,
-                    AggFunc::Max => candidate <= cached,
-                    _ => false,
-                };
-                if non_improving {
-                    return Merged::Old;
-                }
-            }
-        }
         if !self.optimized {
             // Pre-§6.2.1 behaviour: locate the group with a linear scan of
             // the relation before merging.
-            let group_vals = &row.values()[..group_cols];
-            let mut _found = false;
-            for logical in self.rel.iter() {
-                if &logical.values()[..group_cols] == group_vals {
-                    _found = true;
-                    break;
-                }
-            }
+            let g = self.rel.group_cols();
+            let group = &row.values()[..g];
+            let found = self.rel.emitted().iter().any(|r| &r.values()[..g] == group);
+            std::hint::black_box(found);
         }
         match self.rel.merge(row) {
-            dcd_storage::aggregate::MergeOutcome::Updated(logical) => {
-                if let Some(cache) = &mut self.cache {
-                    let group = logical.prefix(group_cols);
-                    cache.record(&group, logical.values()[group_cols]);
-                }
-                for idx in &mut self.secondary {
-                    idx.upsert(&logical);
-                }
-                Merged::New(logical)
-            }
-            dcd_storage::aggregate::MergeOutcome::Unchanged => Merged::Old,
+            MergeOutcome::Updated(logical) => Merged::New(logical),
+            MergeOutcome::Unchanged => Merged::Old,
         }
     }
 }
@@ -140,7 +72,7 @@ pub enum RecStore {
 
 impl RecStore {
     /// Creates the store for `rel` as declared in `plan`.
-    pub fn new(plan: &PhysicalPlan, rel: RelId, optimized: bool, cache_slots: usize) -> Self {
+    pub fn new(plan: &PhysicalPlan, rel: RelId, optimized: bool) -> Self {
         let decl = plan.idb[rel].as_ref().expect("IDB relation");
         match &decl.kind {
             // Postings only on the columns rules probe: a relation that is
@@ -151,20 +83,12 @@ impl RecStore {
                 group_cols,
                 epsilon,
             } => RecStore::Agg(AggStore {
-                rel: AggRelation::new(to_storage_func(*func), *group_cols, *epsilon),
-                func: *func,
-                group_cols: *group_cols,
-                secondary: decl
-                    .index_cols
-                    .iter()
-                    .map(|&col| SecondaryIndex {
-                        col,
-                        map: BPlusTree::new(),
-                        group_cols: *group_cols,
-                    })
-                    .collect(),
-                cache: (optimized && matches!(func, AggFunc::Min | AggFunc::Max))
-                    .then(|| AggCache::new(cache_slots)),
+                rel: AggRelation::with_index_cols(
+                    to_storage_func(*func),
+                    *group_cols,
+                    *epsilon,
+                    &decl.index_cols,
+                ),
                 optimized,
             }),
         }
@@ -200,17 +124,14 @@ impl RecStore {
     /// Probes the relation on `col == key` (index join).
     pub fn probe(&self, col: usize, key: u64) -> Bucket<'_> {
         match self {
-            RecStore::Set(s) => Bucket::Ids {
+            RecStore::Set(s) => Bucket {
                 rows: s.rows(),
                 ids: s.probe_ids(col, key),
             },
-            RecStore::Agg(a) => Bucket::Rows(
-                a.secondary
-                    .iter()
-                    .find(|s| s.col == col)
-                    .map(|s| s.probe(key))
-                    .unwrap_or_else(|| panic!("no index on column {col}")),
-            ),
+            RecStore::Agg(a) => Bucket {
+                rows: a.rel.emitted(),
+                ids: a.rel.probe_ids(col, key),
+            },
         }
     }
 
@@ -232,28 +153,19 @@ impl RecStore {
     }
 
     /// Streams the current logical rows without materializing a `Vec` —
-    /// the evaluator's in-place IDB scan. Set rows are borrowed straight
-    /// from the arena; aggregate rows are assembled lazily.
+    /// the evaluator's in-place IDB scan. Rows are borrowed straight from
+    /// the arena, except a `sum` row, assembled with its running total.
     pub fn scan(&self) -> RecScan<'_> {
         match self {
             RecStore::Set(s) => RecScan::Set(s.scan()),
             RecStore::Agg(a) => RecScan::Agg(a.rel.scan()),
         }
     }
-
-    /// Existence-cache `(hits, misses)` for this relation (zero for set
-    /// relations and when optimizations are off).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        match self {
-            RecStore::Agg(AggStore { cache: Some(c), .. }) => c.stats(),
-            _ => (0, 0),
-        }
-    }
 }
 
-/// Streaming scan over a [`RecStore`]'s logical rows. `Cow` items let set
-/// relations lend their rows borrow-only while aggregate relations yield
-/// the `(group…, value)` rows they assemble on the fly.
+/// Streaming scan over a [`RecStore`]'s logical rows. `Cow` items let the
+/// arenas lend their rows while a `sum` relation yields the rows it
+/// assembles on the fly.
 pub enum RecScan<'a> {
     /// Borrowed rows from a set relation.
     Set(std::slice::Iter<'a, Tuple>),
@@ -268,7 +180,7 @@ impl<'a> Iterator for RecScan<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         match self {
             RecScan::Set(s) => s.next().map(std::borrow::Cow::Borrowed),
-            RecScan::Agg(a) => a.next().map(std::borrow::Cow::Owned),
+            RecScan::Agg(a) => a.next(),
         }
     }
 }
@@ -296,23 +208,14 @@ impl WorkerStore {
     /// the shared catalog and creates empty recursive stores. No EDB rows
     /// are copied and no indexes are built here — the catalog did both,
     /// exactly once.
-    pub fn build(
-        plan: &PhysicalPlan,
-        catalog: &EdbCatalog,
-        me: WorkerId,
-        optimized: bool,
-        cache_slots: usize,
-    ) -> Self {
+    pub fn build(plan: &PhysicalPlan, catalog: &EdbCatalog, me: WorkerId, optimized: bool) -> Self {
         let edb = (0..plan.edb.len())
             .map(|id| catalog.for_worker(id, me))
             .collect();
         let idb = plan
             .idb
             .iter()
-            .map(|d| {
-                d.as_ref()
-                    .map(|d| RecStore::new(plan, d.id, optimized, cache_slots))
-            })
+            .map(|d| d.as_ref().map(|d| RecStore::new(plan, d.id, optimized)))
             .collect();
         WorkerStore { edb, idb }
     }
@@ -332,29 +235,20 @@ impl WorkerStore {
         self.idb[rel].as_mut().expect("IDB relation present")
     }
 
-    /// Probes `target` on `col == key`: a base relation's or a set
-    /// relation's row ids, or an aggregate relation's rows.
+    /// Probes `target` on `col == key`: the ids of the matching rows of a
+    /// base or derived relation.
     #[inline]
     pub fn probe(&self, target: Target, col: usize, key: u64) -> Bucket<'_> {
         match target {
             Target::Edb(rel) => {
                 let base = self.base(rel);
-                Bucket::Ids {
+                Bucket {
                     rows: base.rows(),
                     ids: base.probe_ids(col, key),
                 }
             }
             Target::Idb { rel, .. } => self.rec(rel).probe(col, key),
         }
-    }
-
-    /// Existence-cache `(hits, misses)` totals over every derived store.
-    pub fn cache_totals(&self) -> (u64, u64) {
-        self.idb
-            .iter()
-            .flatten()
-            .map(RecStore::cache_stats)
-            .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 }
 
@@ -400,14 +294,14 @@ mod tests {
         let p = plan(&a, &PlannerConfig::default()).unwrap();
         let tc = p.rel_by_name("tc").unwrap();
         let col = p.idb[tc].as_ref().unwrap().index_cols[0];
-        let mut s = RecStore::new(&p, tc, true, 64);
+        let mut s = RecStore::new(&p, tc, true);
         assert_eq!(
             s.merge(&Tuple::from_ints(&[1, 2])),
             Merged::New(Tuple::from_ints(&[1, 2]))
         );
         assert_eq!(s.merge(&Tuple::from_ints(&[1, 2])), Merged::Old);
         let hits = s.probe(col, Tuple::from_ints(&[1, 2]).key(col));
-        assert!(matches!(hits, Bucket::Ids { ids: [0], .. }), "{hits:?}");
+        assert_eq!(hits.ids, [0], "{hits:?}");
         assert_eq!(s.len(), 1);
     }
 
@@ -415,7 +309,7 @@ mod tests {
     fn unprobed_set_store_keeps_merge_order() {
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
-        let mut s = RecStore::new(&p, tc, true, 64);
+        let mut s = RecStore::new(&p, tc, true);
         let rows: Vec<Tuple> = (0..20i64).map(|i| Tuple::from_ints(&[i % 5, 0])).collect();
         let new = rows.iter().filter(|r| s.merge(r) != Merged::Old).count();
         assert_eq!(new, 5);
@@ -427,7 +321,7 @@ mod tests {
     fn agg_store_improves_and_prunes() {
         let p = cc_plan();
         let cc2 = p.rel_by_name("cc2").unwrap();
-        let mut s = RecStore::new(&p, cc2, true, 64);
+        let mut s = RecStore::new(&p, cc2, true);
         assert!(matches!(
             s.merge(&Tuple::from_ints(&[5, 9])),
             Merged::New(_)
@@ -445,8 +339,8 @@ mod tests {
     fn unoptimized_store_agrees_with_optimized() {
         let p = cc_plan();
         let cc2 = p.rel_by_name("cc2").unwrap();
-        let mut fast = RecStore::new(&p, cc2, true, 64);
-        let mut slow = RecStore::new(&p, cc2, false, 64);
+        let mut fast = RecStore::new(&p, cc2, true);
+        let mut slow = RecStore::new(&p, cc2, false);
         let rows = [[1i64, 7], [2, 5], [1, 3], [1, 9], [2, 2], [3, 3]];
         for r in rows {
             let t = Tuple::from_ints(&r);
@@ -469,7 +363,7 @@ mod tests {
     fn scan_streams_the_same_rows_as_rows() {
         let p = tc_plan();
         let tc = p.rel_by_name("tc").unwrap();
-        let mut s = RecStore::new(&p, tc, true, 64);
+        let mut s = RecStore::new(&p, tc, true);
         for i in 0..50i64 {
             s.merge(&Tuple::from_ints(&[i % 7, i]));
         }
@@ -479,7 +373,7 @@ mod tests {
 
         let p = cc_plan();
         let cc2 = p.rel_by_name("cc2").unwrap();
-        let mut s = RecStore::new(&p, cc2, true, 64);
+        let mut s = RecStore::new(&p, cc2, true);
         for i in 0..50i64 {
             s.merge(&Tuple::from_ints(&[i % 7, i]));
         }
@@ -500,7 +394,7 @@ mod tests {
         let catalog = EdbCatalog::build(&p, &edb_data, &part);
         let mut total = 0;
         for w in 0..4 {
-            let ws = WorkerStore::build(&p, &catalog, w, true, 64);
+            let ws = WorkerStore::build(&p, &catalog, w, true);
             total += ws.base(arc).len();
             // Index on column 0 was built (tc's rule probes arc on col 0).
             assert!(ws.base(arc).has_index(0));

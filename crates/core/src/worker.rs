@@ -17,15 +17,16 @@
 use crate::config::EngineConfig;
 use crate::eval::{DeltaRow, EvalScratch, Evaluator};
 use crate::store::{Merged, RecStore, WorkerStore};
-use dcd_common::hash::FastMap;
 use dcd_common::{DcdError, Frame, Partitioner, Result, Tuple, WorkerId};
+use dcd_frontend::ast::AggFunc;
 use dcd_frontend::physical::{PhysicalPlan, RelId, StorageKind};
 use dcd_runtime::trace::{Mark, Phase};
 use dcd_runtime::{
     Batch, BufferMatrix, DwsController, IdleOutcome, Recorder, RoundBarrier, SspClock, Strategy,
     Termination, WorkerEndpoints,
 };
-use dcd_storage::TupleCache;
+use dcd_storage::table::next_row_id;
+use dcd_storage::{RowTable, TupleCache};
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -148,17 +149,20 @@ const KERNEL_ROWS: usize = 1 << 10;
 /// Pre-Distribute partial aggregation (§5.2.3): merge-layout rows derived
 /// within one local iteration collapse per key before routing — min/max
 /// keep the best row per group, sum/count keep the latest row per
-/// (group, contributor). Set-relation rows skip the map entirely: their
-/// only collapse is exact-duplicate elimination, which the batched local
-/// merge and, for rows bound to peers, the sent-filter already perform.
-/// They are split by destination as they arrive instead. The worker
-/// keeps one accumulator and reuses its buffers across iterations.
+/// (group, contributor). Each aggregate relation collapses its rows in a
+/// [`RowTable`] keyed on that prefix. Set-relation rows skip the table
+/// entirely: their only collapse is exact-duplicate elimination, which
+/// the batched local merge and, for rows bound to peers, the sent-filter
+/// already perform. They are split by destination as they arrive
+/// instead. The worker keeps one accumulator and reuses its buffers
+/// across iterations.
 struct PartialAgg {
     me: WorkerId,
     part: Partitioner,
     /// `set[rel]`: set relation `rel`'s head rows, in derivation order.
     set: Vec<SetRows>,
-    best: FastMap<(RelId, Tuple), Tuple>,
+    /// `agg[rel]`: aggregate relation `rel`'s collapsed head rows.
+    agg: Vec<Option<AggRows>>,
 }
 
 /// One set relation's head rows, by destination. A row bound both here
@@ -171,13 +175,65 @@ struct SetRows {
     remote: Vec<Tuple>,
 }
 
+/// One aggregate relation's head rows, one per key, in order of each
+/// key's first derivation.
+struct AggRows {
+    func: AggFunc,
+    rows: Vec<Tuple>,
+    /// Key → index into `rows`. Min/max key on the group columns;
+    /// sum/count also on the contributor after them.
+    keys: RowTable,
+}
+
+impl AggRows {
+    fn new(func: AggFunc, group_cols: usize) -> Self {
+        let key_len = match func {
+            AggFunc::Min | AggFunc::Max => group_cols,
+            AggFunc::Sum | AggFunc::Count => group_cols + 1,
+        };
+        AggRows {
+            func,
+            rows: Vec::new(),
+            keys: RowTable::new(key_len),
+        }
+    }
+
+    fn push(&mut self, row: Tuple) {
+        self.keys.reserve(1);
+        let h = self.keys.hash(row.values());
+        let rows = &self.rows;
+        match self
+            .keys
+            .find(h, row.values(), |id| rows[id as usize].values())
+        {
+            Err(slot) => {
+                self.keys.insert(slot, h, next_row_id(rows.len()));
+                self.rows.push(row);
+            }
+            Ok(slot) => {
+                let kept = &mut self.rows[self.keys.id(slot) as usize];
+                // Min/max rows hold their value right after the key.
+                let v = |t: &Tuple| t.values()[self.keys.key(t.values()).len()];
+                let replace = match self.func {
+                    AggFunc::Min => v(&row) < v(kept),
+                    AggFunc::Max => v(&row) > v(kept),
+                    AggFunc::Sum | AggFunc::Count => true, // the latest contribution wins
+                };
+                if replace {
+                    *kept = row;
+                }
+            }
+        }
+    }
+}
+
 impl PartialAgg {
     fn new(me: WorkerId, part: Partitioner) -> Self {
         PartialAgg {
             me,
             part,
             set: Vec::new(),
-            best: FastMap::default(),
+            agg: Vec::new(),
         }
     }
 
@@ -190,7 +246,6 @@ impl PartialAgg {
     }
 
     fn push(&mut self, plan: &PhysicalPlan, rel: RelId, row: Tuple) {
-        use dcd_frontend::ast::AggFunc;
         let decl = plan.idb[rel].as_ref().expect("IDB head");
         match &decl.kind {
             StorageKind::Set => {
@@ -220,32 +275,12 @@ impl PartialAgg {
             StorageKind::Agg {
                 func, group_cols, ..
             } => {
-                let (key_cols, keep_better): (usize, Option<AggFunc>) = match func {
-                    AggFunc::Min | AggFunc::Max => (*group_cols, Some(*func)),
-                    // Contributor is part of the key; later rows replace.
-                    AggFunc::Sum | AggFunc::Count => (*group_cols + 1, None),
-                };
-                let key = row.prefix(key_cols);
-                match self.best.entry((rel, key)) {
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(row);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut o) => match keep_better {
-                        Some(AggFunc::Min) => {
-                            if row.values()[key_cols] < o.get().values()[key_cols] {
-                                o.insert(row);
-                            }
-                        }
-                        Some(AggFunc::Max) => {
-                            if row.values()[key_cols] > o.get().values()[key_cols] {
-                                o.insert(row);
-                            }
-                        }
-                        _ => {
-                            o.insert(row); // sum: latest contribution wins
-                        }
-                    },
+                if self.agg.len() <= rel {
+                    self.agg.resize_with(rel + 1, || None);
                 }
+                self.agg[rel]
+                    .get_or_insert_with(|| AggRows::new(*func, *group_cols))
+                    .push(row);
             }
         }
     }
@@ -288,6 +323,66 @@ impl DeltaSet {
     }
 }
 
+/// Coalesces pending delta rows in place (the Gather semantics of
+/// §5.2.2): an aggregate group that updated several times since the last
+/// local iteration keeps only its newest logical row. Without this, `sum`
+/// relations fragment convergence into O(total-change/ε) micro-deltas.
+/// The tables are kept across iterations so their memory is reused.
+#[derive(Default)]
+struct Coalescer {
+    /// One table per `(rel, route)` seen: group columns → index of the
+    /// group's newest pending row.
+    tables: Vec<(RelId, u8, RowTable)>,
+    keep: Vec<bool>,
+}
+
+impl Coalescer {
+    /// Drops every aggregate row that a later row of the same
+    /// `(rel, route, group)` supersedes; set-relation rows and the order
+    /// of the rows kept are left alone.
+    fn coalesce(&mut self, plan: &PhysicalPlan, rows: &mut Vec<DeltaRow>) {
+        self.keep.clear();
+        self.keep.resize(rows.len(), true);
+        let mut dropped = false;
+        for (i, (rel, route, row)) in rows.iter().enumerate() {
+            let decl = plan.idb[*rel].as_ref().expect("IDB");
+            let StorageKind::Agg { group_cols, .. } = &decl.kind else {
+                continue; // set relations never duplicate
+            };
+            let at = match self
+                .tables
+                .iter()
+                .position(|(r, ro, _)| r == rel && ro == route)
+            {
+                Some(at) => at,
+                None => {
+                    let table = RowTable::new(*group_cols);
+                    self.tables.push((*rel, *route, table));
+                    self.tables.len() - 1
+                }
+            };
+            let table = &mut self.tables[at].2;
+            table.reserve(1);
+            let h = table.hash(row.values());
+            match table.find(h, row.values(), |id| rows[id as usize].2.values()) {
+                Ok(slot) => {
+                    self.keep[table.id(slot) as usize] = false;
+                    table.set_id(slot, next_row_id(i));
+                    dropped = true;
+                }
+                Err(slot) => table.insert(slot, h, next_row_id(i)),
+            }
+        }
+        for (_, _, table) in &mut self.tables {
+            table.clear();
+        }
+        if dropped {
+            let mut keep = self.keep.iter();
+            rows.retain(|_| *keep.next().expect("one flag per row"));
+        }
+    }
+}
+
 /// The worker context bundling everything one thread needs.
 pub struct Worker<'a> {
     plan: &'a PhysicalPlan,
@@ -300,6 +395,8 @@ pub struct Worker<'a> {
     scratch: EvalScratch,
     /// Head rows of the current local iteration, drained by Distribute.
     acc: PartialAgg,
+    /// Collapses superseded aggregate rows of each pending delta.
+    coalescer: Coalescer,
     /// Rows of one received set-relation frame, merged as one batch.
     gathered: Vec<Tuple>,
     /// Per-relation exact-duplicate filter for Distribute — the §6.2
@@ -351,6 +448,7 @@ impl<'a> Worker<'a> {
             },
             scratch: EvalScratch::new(),
             acc: PartialAgg::new(me, coord.part),
+            coalescer: Coalescer::default(),
             gathered: Vec::new(),
             sent_filter,
             rec: &coord.recorders[me],
@@ -363,11 +461,9 @@ impl<'a> Worker<'a> {
         for si in 0..self.plan.strata.len() {
             self.run_stratum(si, &mut store)?;
         }
-        // Fold the storage layer's cache counters and the kernel's probe
+        // Fold the sent-filter's cache counters and the kernel's probe
         // counters into the recorder so the engine-level snapshot carries
         // them.
-        let (hits, misses) = store.cache_totals();
-        self.rec.record_cache(hits, misses);
         for f in self.sent_filter.iter().flatten() {
             let (h, m) = f.stats();
             self.rec.record_cache(h, m);
@@ -548,32 +644,6 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Coalesces pending delta rows in place (the Gather semantics of
-    /// §5.2.2): an aggregate group that updated several times since the
-    /// last local iteration keeps only its newest logical row. Without
-    /// this, `sum` relations fragment convergence into
-    /// O(total-change/ε) micro-deltas.
-    fn coalesce(&self, rows: &mut Vec<DeltaRow>) {
-        // (rel, route, group prefix) → index of the newest row.
-        let mut latest: FastMap<(RelId, u8, Tuple), usize> = FastMap::default();
-        let mut keep = vec![true; rows.len()];
-        for (i, (rel, route, row)) in rows.iter().enumerate() {
-            let decl = self.plan.idb[*rel].as_ref().expect("IDB");
-            let StorageKind::Agg { group_cols, .. } = &decl.kind else {
-                continue; // set relations never duplicate
-            };
-            let key = (*rel, *route, row.prefix(*group_cols));
-            if let Some(prev) = latest.insert(key, i) {
-                keep[prev] = false;
-            }
-        }
-        let mut i = 0;
-        rows.retain(|_| {
-            i += 1;
-            keep[i - 1]
-        });
-    }
-
     /// One local semi-naive iteration: runs every matching delta variant
     /// over the pending delta rows, then distributes what they derived.
     /// Outputs pass through the partial aggregation of §5.2.3 ("the
@@ -598,7 +668,7 @@ impl<'a> Worker<'a> {
         let plan = self.plan;
         let stratum = &plan.strata[si];
         let mut rows = delta.take();
-        self.coalesce(&mut rows);
+        self.coalescer.coalesce(plan, &mut rows);
         let nrows = rows.len() as u64;
         self.rec.note_iteration(nrows);
         let (mut local_new, mut remote_sent) = (0, 0);
@@ -723,15 +793,19 @@ impl<'a> Worker<'a> {
             }
             out.remote.clear();
         }
-        for ((rel, _), row) in acc.best.drain() {
-            self.dests(rel, &row, &mut dests);
-            for &d in &dests {
-                if d == self.me {
-                    local_new += self.merge_local(store, rel, &row, delta);
-                } else {
-                    stage(d, rel, &row);
+        for (rel, out) in acc.agg.iter_mut().enumerate() {
+            let Some(out) = out else { continue };
+            for row in out.rows.drain(..) {
+                self.dests(rel, &row, &mut dests);
+                for &d in &dests {
+                    if d == self.me {
+                        local_new += self.merge_local(store, rel, &row, delta);
+                    } else {
+                        stage(d, rel, &row);
+                    }
                 }
             }
+            out.keys.clear();
         }
         self.acc = acc;
         self.sent_filter = filters;
@@ -911,6 +985,7 @@ impl<'a> Worker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcd_common::Value;
     use dcd_frontend::physical::{plan, PlannerConfig};
     use dcd_frontend::{analyze, parse_program};
 
@@ -934,6 +1009,25 @@ mod tests {
         plan(&a, &PlannerConfig::default()).unwrap()
     }
 
+    fn pagerank_plan() -> PhysicalPlan {
+        let a = analyze(
+            parse_program(
+                "rank(X, sum<(X, I)>) <- matrix(X, _, _), I = 0.15.
+                 rank(X, sum<(Y, K)>) <- rank(Y, C), matrix(Y, X, D), K = 0.85 * (C / D).",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        plan(&a, &PlannerConfig::default()).unwrap()
+    }
+
+    /// The collapsed rows of aggregate relation `rel`, sorted.
+    fn collapsed(acc: &PartialAgg, rel: RelId) -> Vec<Tuple> {
+        let mut rows = acc.agg[rel].as_ref().unwrap().rows.clone();
+        rows.sort();
+        rows
+    }
+
     #[test]
     fn partial_agg_collapses_min_groups() {
         let p = cc_plan();
@@ -943,11 +1037,31 @@ mod tests {
         acc.push(&p, cc2, Tuple::from_ints(&[1, 3]));
         acc.push(&p, cc2, Tuple::from_ints(&[1, 7]));
         acc.push(&p, cc2, Tuple::from_ints(&[2, 5]));
-        let mut rows: Vec<Tuple> = acc.best.into_values().collect();
-        rows.sort();
+        // `1.0` is the same group as `1`.
+        acc.push(&p, cc2, Tuple::new(&[Value::Float(1.0), Value::Int(4)]));
         assert_eq!(
-            rows,
+            collapsed(&acc, cc2),
             vec![Tuple::from_ints(&[1, 3]), Tuple::from_ints(&[2, 5])]
+        );
+    }
+
+    #[test]
+    fn partial_agg_keeps_latest_sum_contribution() {
+        // rank(X, sum<(Y, K)>): the key is (X, Y); a later row from the
+        // same contributor replaces the earlier one, whatever its value.
+        let p = pagerank_plan();
+        let rank = p.rel_by_name("rank").unwrap();
+        let mut acc = PartialAgg::new(0, Partitioner::new(1));
+        let row =
+            |x: i64, y: i64, k: f64| Tuple::new(&[Value::Int(x), Value::Int(y), Value::Float(k)]);
+        acc.push(&p, rank, row(1, 7, 0.5));
+        acc.push(&p, rank, row(1, 8, 0.25));
+        acc.push(&p, rank, row(1, 7, 0.1));
+        acc.push(&p, rank, row(2, 7, 0.3));
+        acc.push(&p, rank, row(1, 7, 0.2));
+        assert_eq!(
+            collapsed(&acc, rank),
+            vec![row(1, 7, 0.2), row(1, 8, 0.25), row(2, 7, 0.3)]
         );
     }
 
@@ -964,7 +1078,49 @@ mod tests {
         }
         acc.push(&p, tc, Tuple::from_ints(&[1, 3]));
         assert_eq!(acc.set[tc].local.len(), 6);
-        assert!(acc.best.is_empty());
+        assert!(acc.agg.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn coalesce_keeps_the_newest_row_per_route_and_group() {
+        // Attend: `attend` is a set relation, `cnt` a count aggregate.
+        let a = analyze(parse_program(crate::queries::ATTEND).unwrap()).unwrap();
+        let mut cfg = PlannerConfig::default();
+        cfg.params.insert("threshold".into(), Value::Int(3));
+        let p = plan(&a, &cfg).unwrap();
+        let attend = p.rel_by_name("attend").unwrap();
+        let cnt = p.rel_by_name("cnt").unwrap();
+        let t = |a: i64, b: i64| Tuple::from_ints(&[a, b]);
+        let mut rows: Vec<DeltaRow> = vec![
+            (cnt, 0, t(1, 1)),
+            (attend, 0, Tuple::from_ints(&[4])),
+            (cnt, 0, t(2, 1)),
+            (cnt, 1, t(1, 1)),
+            (cnt, 0, t(1, 2)),
+            (attend, 0, Tuple::from_ints(&[4])),
+            (cnt, 0, Tuple::new(&[Value::Float(1.0), Value::Int(3)])),
+            (attend, 0, Tuple::from_ints(&[2])),
+            (cnt, 1, t(2, 1)),
+        ];
+        let mut c = Coalescer::default();
+        c.coalesce(&p, &mut rows);
+        assert_eq!(
+            rows,
+            vec![
+                (attend, 0, Tuple::from_ints(&[4])),
+                (cnt, 0, t(2, 1)),
+                (cnt, 1, t(1, 1)),
+                (attend, 0, Tuple::from_ints(&[4])),
+                (cnt, 0, Tuple::new(&[Value::Float(1.0), Value::Int(3)])),
+                (attend, 0, Tuple::from_ints(&[2])),
+                (cnt, 1, t(2, 1)),
+            ]
+        );
+        // The tables are cleared between calls: a second call on the
+        // result keeps every row.
+        let again = rows.clone();
+        c.coalesce(&p, &mut rows);
+        assert_eq!(rows, again);
     }
 
     #[test]

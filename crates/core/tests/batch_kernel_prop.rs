@@ -40,7 +40,7 @@ fn build(
         data[id] = Some(rows.clone());
     }
     let catalog = EdbCatalog::build(&p, &data, &Partitioner::new(1));
-    let store = WorkerStore::build(&p, &catalog, 0, true, 64);
+    let store = WorkerStore::build(&p, &catalog, 0, true);
     (p, store)
 }
 

@@ -2,22 +2,33 @@
 //!
 //! The paper stores aggregate information *inside the index* so the Gather
 //! operator merges partial aggregates by index lookup instead of a linear
-//! scan:
+//! scan. Here the index is a [`RowTable`] keyed on the group-by columns
+//! over an append-only arena of logical rows `(group…, value)`: a merge
+//! finds its group with one hashed lookup and updates the group's row in
+//! place, and a group's row id never changes.
 //!
-//! * `min`/`max` — the index keyed by the group-by key holds the current
-//!   extremum; a merge emits a delta only when the extremum improves.
-//!   This is DeALS-style monotonic aggregation, so the fixpoint is exact.
-//! * `sum`/`count` — two indexes (paper: "one on the group-by key, the
-//!   other on the attribute value that is incrementally computed"): the
-//!   group index holds the running total plus a per-contributor map, so a
-//!   re-contribution from the same source *replaces* its previous value
-//!   rather than double-counting. `sum` deltas fire when the total moves by
-//!   more than a caller-chosen ε (PageRank's convergence test); `count`
+//! * `min`/`max` — the row holds the current extremum; a merge emits a
+//!   delta only when the extremum improves. This is DeALS-style monotonic
+//!   aggregation, so the fixpoint is exact.
+//! * `sum`/`count` — the paper's second index ("on the attribute value
+//!   that is incrementally computed") is one contributor map keyed by
+//!   `(row id, contributor)`: a re-contribution from the same source
+//!   *replaces* its previous value rather than double-counting. A side
+//!   vector indexed by row id holds each `sum` group's running total.
+//!   `sum` deltas fire when the total moves by more than a caller-chosen ε
+//!   from the last emitted value (PageRank's convergence test); `count`
 //!   deltas fire whenever the number of distinct contributors grows.
+//!
+//! Visibility: a group's arena row is its last *emitted* row, and that is
+//! what index probes see ([`AggRelation::probe_ids`] resolved against
+//! [`AggRelation::emitted`]). Scans, [`AggRelation::get`] and
+//! [`AggRelation::rows`] see the current aggregate, which for `sum` can
+//! differ from the emitted one by up to ε.
 
-use crate::bptree::BPlusTree;
-use dcd_common::hash::{combine, FastMap};
+use crate::table::{next_row_id, Postings, RowTable};
+use dcd_common::hash::FastMap;
 use dcd_common::{Tuple, Value};
+use std::borrow::Cow;
 
 /// The four aggregate functions supported in recursive rule heads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,35 +44,6 @@ pub enum AggFunc {
     Count,
 }
 
-/// Per-group aggregate state stored in the index leaf.
-#[derive(Clone, Debug)]
-pub enum AggState {
-    /// Current extremum for `min`/`max`.
-    Extremum(Value),
-    /// Contributor map + running total for `sum`/`count`.
-    Contributions {
-        /// Second index of §6.2.1: contributor key → its latest value.
-        contribs: FastMap<u64, f64>,
-        /// Running total (for `count` this equals `contribs.len()`).
-        total: f64,
-        /// The last total that was emitted as a delta.
-        emitted: f64,
-    },
-}
-
-impl AggState {
-    /// The current aggregate value.
-    pub fn value(&self, func: AggFunc) -> Value {
-        match self {
-            AggState::Extremum(v) => *v,
-            AggState::Contributions { total, .. } => match func {
-                AggFunc::Count => Value::Int(*total as i64),
-                _ => Value::Float(*total),
-            },
-        }
-    }
-}
-
 /// A recursive relation whose head carries an aggregate.
 ///
 /// Tuples entering [`AggRelation::merge`] are laid out by the planner as
@@ -73,9 +55,19 @@ pub struct AggRelation {
     group_cols: usize,
     /// ε for `sum` delta emission (0 ⇒ emit on any change).
     epsilon: f64,
-    /// Group index: hash of group columns → bucket of (group, state).
-    index: BPlusTree<Vec<(Tuple, AggState)>>,
-    groups: usize,
+    /// Each group's last emitted logical row; a group's id is its index.
+    rows: Vec<Tuple>,
+    /// Group columns → row id.
+    groups: RowTable,
+    /// `sum`/`count`: `(row id, contributor key) → latest contribution`.
+    contribs: FastMap<(u32, u64), f64>,
+    /// `sum` only: each group's running total, indexed by row id.
+    totals: Vec<f64>,
+    /// One row-id posting list per probed column.
+    postings: Postings,
+    /// Whether a posting list covers the aggregate value column, so an
+    /// update must move the row between lists.
+    value_indexed: bool,
 }
 
 /// Outcome of merging one partial-aggregate tuple.
@@ -89,19 +81,29 @@ pub enum MergeOutcome {
 }
 
 impl AggRelation {
-    /// Creates an aggregate relation.
+    /// Creates an aggregate relation with no probe index.
     ///
     /// * `group_cols` — number of leading group-by columns of incoming
     ///   tuples.
     /// * `epsilon` — minimum total movement for a `sum` delta (ignored for
     ///   other functions).
     pub fn new(func: AggFunc, group_cols: usize, epsilon: f64) -> Self {
+        Self::with_index_cols(func, group_cols, epsilon, &[])
+    }
+
+    /// Creates an aggregate relation with a row-id posting list on each of
+    /// `cols` (columns of the logical rows; `group_cols` is the value).
+    pub fn with_index_cols(func: AggFunc, group_cols: usize, epsilon: f64, cols: &[usize]) -> Self {
         AggRelation {
             func,
             group_cols,
             epsilon,
-            index: BPlusTree::new(),
-            groups: 0,
+            rows: Vec::new(),
+            groups: RowTable::new(group_cols),
+            contribs: FastMap::default(),
+            totals: Vec::new(),
+            postings: Postings::new(cols),
+            value_indexed: cols.iter().any(|&c| c >= group_cols),
         }
     }
 
@@ -111,177 +113,168 @@ impl AggRelation {
         self.func
     }
 
+    /// Number of leading group-by columns.
+    #[inline]
+    pub fn group_cols(&self) -> usize {
+        self.group_cols
+    }
+
     /// Number of groups materialized so far.
     #[inline]
     pub fn len(&self) -> usize {
-        self.groups
+        self.rows.len()
     }
 
     /// Whether no group exists yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.groups == 0
+        self.rows.is_empty()
     }
 
-    /// Hash of the group-by prefix of `t`.
-    fn group_hash(&self, t: &Tuple) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325;
-        for v in &t.values()[..self.group_cols] {
-            h = combine(h, v.key_bits());
-        }
-        h
+    /// Each group's last emitted logical row, indexed by row id: what
+    /// index probes see.
+    #[inline]
+    pub fn emitted(&self) -> &[Tuple] {
+        &self.rows
+    }
+
+    /// Ids of the groups whose emitted row has key bits `key` in `col`
+    /// (empty when none). Panics if no posting list covers `col`.
+    #[inline]
+    pub fn probe_ids(&self, col: usize, key: u64) -> &[u32] {
+        self.postings.ids(col, key)
     }
 
     /// Current aggregate value for the group-by prefix of `probe`
     /// (`probe` needs only `group_cols` leading columns).
     pub fn get(&self, probe: &Tuple) -> Option<Value> {
-        let h = self.group_hash(probe);
-        let bucket = self.index.get(h)?;
-        bucket
-            .iter()
-            .find(|(g, _)| g.values() == &probe.values()[..self.group_cols])
-            .map(|(_, s)| s.value(self.func))
+        let key = probe.values();
+        let h = self.groups.hash(key);
+        let rows = &self.rows;
+        let slot = self
+            .groups
+            .find(h, key, |id| rows[id as usize].values())
+            .ok()?;
+        let id = self.groups.id(slot) as usize;
+        Some(match self.totals.get(id) {
+            Some(&total) => Value::Float(total),
+            None => rows[id].values()[self.group_cols],
+        })
     }
 
     /// Merges one incoming partial tuple
     /// (`(group…, value)` for min/max; `(group…, contributor, value)` for
     /// sum/count).
     pub fn merge(&mut self, t: &Tuple) -> MergeOutcome {
-        let h = self.group_hash(t);
-        let group = t.prefix(self.group_cols);
-        let func = self.func;
-        let eps = self.epsilon;
-        let bucket = self.index.or_insert_with(h, Vec::new);
-        let slot = bucket.iter_mut().find(|(g, _)| *g == group);
-        match func {
-            AggFunc::Min | AggFunc::Max => {
-                let new = t.values()[self.group_cols];
-                match slot {
-                    None => {
-                        bucket.push((group.clone(), AggState::Extremum(new)));
-                        self.groups += 1;
-                        MergeOutcome::Updated(group.concat(&Tuple::new(&[new])))
-                    }
-                    Some((_, AggState::Extremum(cur))) => {
-                        let better = match func {
-                            AggFunc::Min => new < *cur,
-                            _ => new > *cur,
-                        };
-                        if better {
-                            *cur = new;
-                            MergeOutcome::Updated(group.concat(&Tuple::new(&[new])))
-                        } else {
-                            MergeOutcome::Unchanged
-                        }
-                    }
-                    Some((_, AggState::Contributions { .. })) => {
-                        unreachable!("extremum relation holds extremum states")
-                    }
-                }
-            }
-            AggFunc::Sum | AggFunc::Count => {
-                let contributor = t.values()[self.group_cols].key_bits();
-                let val = match func {
-                    AggFunc::Count => 1.0,
-                    _ => t.values()[self.group_cols + 1].as_f64(),
-                };
-                let state = match slot {
-                    Some((_, s)) => s,
-                    None => {
-                        bucket.push((
-                            group.clone(),
-                            AggState::Contributions {
-                                contribs: FastMap::default(),
-                                total: 0.0,
-                                emitted: f64::NEG_INFINITY,
-                            },
-                        ));
-                        self.groups += 1;
-                        &mut bucket.last_mut().expect("just pushed").1
-                    }
-                };
-                let AggState::Contributions {
-                    contribs,
-                    total,
-                    emitted,
-                } = state
-                else {
-                    unreachable!("contribution relation holds contribution states")
-                };
-                match func {
+        let g = self.group_cols;
+        let vals = t.values();
+        self.groups.reserve(1);
+        let h = self.groups.hash(vals);
+        let rows = &self.rows;
+        match self.groups.find(h, vals, |id| rows[id as usize].values()) {
+            Err(slot) => {
+                let id = next_row_id(self.rows.len());
+                let value = match self.func {
+                    AggFunc::Min | AggFunc::Max => vals[g],
                     AggFunc::Count => {
-                        if contribs.insert(contributor, 1.0).is_some() {
-                            return MergeOutcome::Unchanged;
-                        }
-                        *total = contribs.len() as f64;
-                        *emitted = *total;
-                        MergeOutcome::Updated(
-                            group.concat(&Tuple::new(&[Value::Int(*total as i64)])),
-                        )
+                        self.contribs.insert((id, vals[g].key_bits()), 1.0);
+                        Value::Int(1)
                     }
-                    _ => {
-                        let old = contribs.insert(contributor, val).unwrap_or(0.0);
-                        *total += val - old;
-                        if (*total - *emitted).abs() > eps {
-                            *emitted = *total;
-                            MergeOutcome::Updated(
-                                group.concat(&Tuple::new(&[Value::Float(*total)])),
-                            )
-                        } else {
-                            MergeOutcome::Unchanged
-                        }
+                    AggFunc::Sum => {
+                        let v = vals[g + 1].as_f64();
+                        self.contribs.insert((id, vals[g].key_bits()), v);
+                        self.totals.push(v);
+                        Value::Float(v)
                     }
+                };
+                let row = Tuple::from_exact_iter(g + 1, vals[..g].iter().copied().chain([value]));
+                self.groups.insert(slot, h, id);
+                self.postings.add(id, row.values());
+                self.rows.push(row.clone());
+                MergeOutcome::Updated(row)
+            }
+            Ok(slot) => {
+                let id = self.groups.id(slot);
+                let cur = rows[id as usize].values()[g];
+                let new = match self.func {
+                    AggFunc::Min => Some(vals[g]).filter(|&v| v < cur),
+                    AggFunc::Max => Some(vals[g]).filter(|&v| v > cur),
+                    AggFunc::Count => {
+                        let fresh = self.contribs.insert((id, vals[g].key_bits()), 1.0);
+                        fresh.is_none().then(|| Value::Int(cur.expect_int() + 1))
+                    }
+                    AggFunc::Sum => {
+                        let v = vals[g + 1].as_f64();
+                        let old = self.contribs.insert((id, vals[g].key_bits()), v);
+                        let total = &mut self.totals[id as usize];
+                        *total += v - old.unwrap_or(0.0);
+                        ((*total - cur.as_f64()).abs() > self.epsilon)
+                            .then_some(Value::Float(*total))
+                    }
+                };
+                match new {
+                    Some(v) => MergeOutcome::Updated(self.set_value(id, v)),
+                    None => MergeOutcome::Unchanged,
                 }
             }
         }
     }
 
-    /// Iterates the logical rows `(group…, aggregate value)`.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.index.iter().flat_map(move |(_, bucket)| {
-            bucket
-                .iter()
-                .map(move |(g, s)| g.concat(&Tuple::new(&[s.value(self.func)])))
-        })
+    /// Makes `v` group `id`'s emitted value; returns the updated row.
+    fn set_value(&mut self, id: u32, v: Value) -> Tuple {
+        let g = self.group_cols;
+        let row = &mut self.rows[id as usize];
+        if self.value_indexed {
+            let old = row.clone();
+            row.values_mut()[g] = v;
+            self.postings.refile(id, old.values(), row.values());
+        } else {
+            row.values_mut()[g] = v;
+        }
+        row.clone()
     }
 
-    /// Streaming scan with a *nameable* iterator type (see
-    /// [`SetRelation::scan`](crate::set::SetRelation::scan)); yields the
-    /// same logical rows as [`AggRelation::iter`].
+    /// Streams the logical rows `(group…, current aggregate value)` in
+    /// group-creation order. The iterator type is nameable, so callers can
+    /// hold it in their own enums (the evaluator's in-place IDB scans).
     pub fn scan(&self) -> AggScan<'_> {
         AggScan {
-            tree: self.index.iter(),
-            bucket: [].iter(),
-            func: self.func,
+            rows: self.rows.iter(),
+            totals: self.totals.iter(),
+            group_cols: self.group_cols,
         }
     }
 
     /// Collects all logical rows.
     pub fn rows(&self) -> Vec<Tuple> {
-        self.iter().collect()
+        self.scan().map(Cow::into_owned).collect()
     }
 }
 
-/// Scan over an [`AggRelation`]'s logical rows: each `(group…, state)`
-/// leaf entry is assembled into `(group…, aggregate value)` on the fly.
+/// Scan over an [`AggRelation`]'s logical rows. A row whose emitted value
+/// is current is lent from the arena; a `sum` row is assembled with its
+/// running total.
 pub struct AggScan<'a> {
-    tree: crate::bptree::Iter<'a, Vec<(Tuple, AggState)>>,
-    bucket: std::slice::Iter<'a, (Tuple, AggState)>,
-    func: AggFunc,
+    rows: std::slice::Iter<'a, Tuple>,
+    /// Running totals beside `rows` (`sum` only; empty otherwise).
+    totals: std::slice::Iter<'a, f64>,
+    group_cols: usize,
 }
 
-impl Iterator for AggScan<'_> {
-    type Item = Tuple;
+impl<'a> Iterator for AggScan<'a> {
+    type Item = Cow<'a, Tuple>;
 
     #[inline]
-    fn next(&mut self) -> Option<Tuple> {
-        loop {
-            if let Some((g, s)) = self.bucket.next() {
-                return Some(g.concat(&Tuple::new(&[s.value(self.func)])));
+    fn next(&mut self) -> Option<Cow<'a, Tuple>> {
+        let row = self.rows.next()?;
+        Some(match self.totals.next() {
+            Some(&total) => {
+                let mut row = row.clone();
+                row.values_mut()[self.group_cols] = Value::Float(total);
+                Cow::Owned(row)
             }
-            let (_, bucket) = self.tree.next()?;
-            self.bucket = bucket.iter();
-        }
+            None => Cow::Borrowed(row),
+        })
     }
 }
 
@@ -418,18 +411,51 @@ mod tests {
     }
 
     #[test]
-    fn scan_agrees_with_iter() {
+    fn scan_agrees_with_rows() {
         let mut r = AggRelation::new(AggFunc::Min, 1, 0.0);
         for i in 0..100i64 {
             r.merge(&Tuple::from_ints(&[i % 13, i]));
         }
-        let a: Vec<Tuple> = r.iter().collect();
-        let b: Vec<Tuple> = r.scan().collect();
+        let a = r.rows();
+        let b: Vec<Tuple> = r.scan().map(Cow::into_owned).collect();
         assert_eq!(a, b);
+        assert_eq!(a, r.emitted());
         assert!(AggRelation::new(AggFunc::Min, 1, 0.0)
             .scan()
             .next()
             .is_none());
+    }
+
+    #[test]
+    fn probes_see_the_emitted_sum_and_scans_the_total() {
+        let mut r = AggRelation::with_index_cols(AggFunc::Sum, 1, 0.5, &[0]);
+        let row = |c: i64, v: f64| Tuple::new(&[Value::Int(1), Value::Int(c), Value::Float(v)]);
+        assert!(matches!(r.merge(&row(7, 1.0)), MergeOutcome::Updated(_)));
+        // +0.25 is within ε: absorbed, so probes keep seeing 1.0.
+        assert_eq!(r.merge(&row(8, 0.25)), MergeOutcome::Unchanged);
+        let ids = r.probe_ids(0, Value::Int(1).key_bits());
+        assert_eq!(ids, [0]);
+        assert_eq!(r.emitted()[0].values()[1], Value::Float(1.0));
+        assert_eq!(r.get(&Tuple::from_ints(&[1])), Some(Value::Float(1.25)));
+        assert_eq!(r.rows()[0].values()[1], Value::Float(1.25));
+    }
+
+    #[test]
+    fn value_postings_follow_updates() {
+        let mut r = AggRelation::with_index_cols(AggFunc::Min, 1, 0.0, &[1]);
+        r.merge(&Tuple::from_ints(&[1, 9]));
+        r.merge(&Tuple::from_ints(&[2, 9]));
+        r.merge(&Tuple::from_ints(&[1, 4]));
+        let ids = |r: &AggRelation, v: i64| {
+            let mut ids = r.probe_ids(1, Value::Int(v).key_bits()).to_vec();
+            ids.sort();
+            ids
+        };
+        assert_eq!(ids(&r, 9), [1]);
+        assert_eq!(ids(&r, 4), [0]);
+        r.merge(&Tuple::from_ints(&[2, 4]));
+        assert!(ids(&r, 9).is_empty());
+        assert_eq!(ids(&r, 4), [0, 1]);
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Existence-check caches (§6.2.2).
+//! The existence-check cache (§6.2.2).
 //!
 //! Every semi-naive iteration performs set union/difference against the
-//! recursive table, each requiring an index probe (logarithmic). The paper
-//! puts a constant-time cache in front: "when checking the tuples, we first
-//! look up the cache in constant time. If the key is already there, we
-//! ignore the tuple; otherwise, we proceed to check the index."
+//! recursive table, each requiring an index probe (logarithmic in the
+//! paper's B+-tree). The paper puts a constant-time cache in front: "when
+//! checking the tuples, we first look up the cache in constant time. If
+//! the key is already there, we ignore the tuple; otherwise, we proceed to
+//! check the index."
 //!
-//! Aggregate relations keep that cache ([`AggCache`]). Set relations do
-//! not need one: their membership check is a single hashed lookup
-//! (`SetRelation`), so the same idea serves the exchange instead —
-//! [`TupleCache`] is Distribute's sent-filter.
+//! No store here needs one: a set relation's membership check and an
+//! aggregate relation's group lookup are each one hashed
+//! [`RowTable`](crate::table::RowTable) probe already. The same idea serves
+//! the exchange instead — [`TupleCache`] is Distribute's sent-filter.
 //!
-//! Both caches here are direct-mapped arrays of exact entries, so a hit is
-//! always *sound* (it proves the tuple is duplicate/non-improving); a miss
-//! falls through to the index. Collisions simply evict.
+//! The cache is a direct-mapped array of exact entries, so a hit is
+//! always *sound* (it proves the tuple was seen); a miss falls through.
+//! Collisions simply evict.
 
 use crate::set::row_hash;
-use dcd_common::hash::combine;
 use dcd_common::{Tuple, Value};
 use std::borrow::Borrow;
 
@@ -140,74 +140,6 @@ impl TupleCache {
     }
 }
 
-/// Cache for aggregate relations: remembers `(group key, aggregate value)`
-/// pairs so non-improving partials are pruned without an index probe.
-pub struct AggCache {
-    slots: Vec<Option<(Tuple, Value)>>,
-    mask: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl AggCache {
-    /// Creates a cache with `slots` entries (rounded up to a power of two).
-    pub fn new(slots: usize) -> Self {
-        let n = slots.next_power_of_two().max(2);
-        AggCache {
-            slots: vec![None; n],
-            mask: n - 1,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn slot_of(&self, group: &Tuple) -> usize {
-        let mut h = 0x9e37_79b9_7f4a_7c15u64;
-        for v in group.values() {
-            h = combine(h, v.key_bits());
-        }
-        (h as usize) & self.mask
-    }
-
-    /// Returns the cached aggregate value for `group`, if present.
-    pub fn get(&mut self, group: &Tuple) -> Option<Value> {
-        let idx = self.slot_of(group);
-        match &self.slots[idx] {
-            Some((g, v)) if g == group => {
-                self.hits += 1;
-                Some(*v)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records the group's current aggregate value.
-    pub fn record(&mut self, group: &Tuple, value: Value) {
-        let idx = self.slot_of(group);
-        self.slots[idx] = Some((group.clone(), value));
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Hits since construction.
-    #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses since construction.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,27 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn agg_cache_roundtrip() {
-        let mut c = AggCache::new(64);
-        let g = Tuple::from_ints(&[5]);
-        assert_eq!(c.get(&g), None);
-        c.record(&g, Value::Int(42));
-        assert_eq!(c.get(&g), Some(Value::Int(42)));
-        c.record(&g, Value::Int(40));
-        assert_eq!(c.get(&g), Some(Value::Int(40)));
-    }
-
-    #[test]
-    fn agg_cache_distinguishes_groups_exactly() {
-        let mut c = AggCache::new(2);
-        let g1 = Tuple::from_ints(&[1]);
-        let g2 = Tuple::from_ints(&[2]);
-        c.record(&g1, Value::Int(1));
-        // Whatever slot g2 maps to, an exact group comparison protects us.
-        assert_eq!(c.get(&g2), None);
-    }
-
-    #[test]
     fn hit_miss_accessors_match_stats() {
         let mut t = TupleCache::new(16);
         let x = Tuple::from_ints(&[3]);
@@ -313,21 +224,13 @@ mod tests {
         t.check(&x);
         assert_eq!((t.hits(), t.misses()), t.stats());
         assert_eq!((t.hits(), t.misses()), (1, 1));
-
-        let mut a = AggCache::new(16);
-        let g = Tuple::from_ints(&[1]);
-        a.get(&g);
-        a.record(&g, Value::Int(7));
-        a.get(&g);
-        assert_eq!((a.hits(), a.misses()), a.stats());
-        assert_eq!((a.hits(), a.misses()), (1, 1));
     }
 
     #[test]
     fn sizes_round_to_power_of_two() {
         let c = TupleCache::new(100);
         assert_eq!(c.full.len(), 128);
-        let c = AggCache::new(1);
-        assert_eq!(c.slots.len(), 2);
+        let c = TupleCache::new(1);
+        assert_eq!(c.full.len(), 2);
     }
 }

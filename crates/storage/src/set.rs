@@ -1,8 +1,8 @@
 //! Recursive relations with set semantics (no aggregate in the head).
 //!
 //! `tc`, `sg` and `attend` from the paper's query suite are stored here,
-//! each row exactly once: an append-only row arena, an open-addressed
-//! membership table of arena row ids (the exact duplicate check — the set
+//! each row exactly once: an append-only row arena, a whole-row
+//! [`RowTable`] of arena row ids (the exact duplicate check — the set
 //! difference of semi-naive evaluation), and one posting list of row ids
 //! per probed column. Probes hand out row ids to resolve against
 //! [`SetRelation::rows`], the same shape as
@@ -13,7 +13,7 @@
 //! cache misses: it hashes a group of rows, prefetches their table slots,
 //! then the arena rows those slots name, and only then inserts.
 
-use dcd_common::hash::{mix64, FastMap};
+use crate::table::{key_hash, next_row_id, prefetch, Postings, RowTable};
 use dcd_common::Tuple;
 use std::borrow::Borrow;
 
@@ -22,58 +22,21 @@ use std::borrow::Borrow;
 /// prefetched lines are still cached when the inserts reach them.
 const BATCH: usize = 32;
 
-/// The high half of a slot: the upper 32 bits of its row's hash.
-const TAG: u64 = 0xFFFF_FFFF_0000_0000;
-
 /// Hashes a row consistently with `Tuple`'s equality: values that compare
 /// equal (`Int(3)` and `Float(3.0)`) share their key bits.
 #[inline]
 pub(crate) fn row_hash(t: &Tuple) -> u64 {
-    let mut h = t.arity() as u64;
-    for v in t.values() {
-        h = (h.rotate_left(5) ^ v.key_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    mix64(h)
-}
-
-/// Hints the CPU to pull `*r` into L1 ahead of its use: both cache lines
-/// when the value can straddle a line boundary.
-#[inline(always)]
-fn prefetch<T: ?Sized>(r: &T) {
-    let p = (r as *const T).cast::<i8>();
-    hint(p);
-    let size = std::mem::size_of_val(r);
-    if size > std::mem::align_of_val(r) {
-        hint(p.wrapping_add(size - 1));
-    }
-}
-
-#[inline(always)]
-fn hint(p: *const i8) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 CPU has. It is
-    // a hint with no architectural effect: it reads no memory a program
-    // can observe and never faults, whatever the address.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
+    key_hash(t.values())
 }
 
 /// A deduplicated, indexed recursive relation.
 pub struct SetRelation {
     /// Every distinct row, in insertion order; a row's id is its index.
     rows: Vec<Tuple>,
-    /// Linear-probing membership table, at most half full. A slot holds
-    /// its row's hash tag in the high half and `row id + 1` in the low
-    /// half; 0 is empty. A row's home slot is its hash's top `bits` bits,
-    /// which the tag contains, so growing never rehashes a row.
-    slots: Vec<u64>,
-    bits: u32,
-    /// `(column, key bits → row ids)` for every probed column.
-    postings: Vec<(usize, FastMap<u64, Vec<u32>>)>,
+    /// Membership: whole row → row id.
+    table: RowTable,
+    /// One row-id posting list per probed column.
+    postings: Postings,
 }
 
 impl SetRelation {
@@ -85,18 +48,10 @@ impl SetRelation {
     /// Creates an empty relation with a probe index on each of `cols`
     /// (none at all for a relation that is only scanned).
     pub fn with_index_cols(cols: &[usize]) -> Self {
-        let mut postings: Vec<(usize, FastMap<u64, Vec<u32>>)> = Vec::new();
-        for &c in cols {
-            if postings.iter().all(|(pc, _)| *pc != c) {
-                postings.push((c, FastMap::default()));
-            }
-        }
-        const INITIAL_BITS: u32 = 4;
         SetRelation {
             rows: Vec::new(),
-            slots: vec![0; 1 << INITIAL_BITS],
-            bits: INITIAL_BITS,
-            postings,
+            table: RowTable::whole_rows(),
+            postings: Postings::new(cols),
         }
     }
 
@@ -126,7 +81,7 @@ impl SetRelation {
     /// Inserts `t`; returns `true` iff it was new (and therefore belongs in
     /// the next delta).
     pub fn insert(&mut self, t: Tuple) -> bool {
-        self.reserve(1);
+        self.table.reserve(1);
         let h = row_hash(&t);
         match self.find(h, &t) {
             Ok(_) => false,
@@ -151,14 +106,14 @@ impl SetRelation {
         let mut hashes = [0u64; BATCH];
         for group in batch.chunks(BATCH) {
             // Grow first: the slots prefetched below are the slots used.
-            self.reserve(group.len());
+            self.table.reserve(group.len());
             for (h, row) in hashes.iter_mut().zip(group) {
                 *h = row_hash(row.borrow());
-                prefetch(&self.slots[self.home(*h)]);
+                self.table.prefetch_home(*h);
             }
             for &h in &hashes[..group.len()] {
-                if let Some(id) = self.first_tag_match(h) {
-                    prefetch(&self.rows[id]);
+                if let Some(id) = self.table.first_tag_match(h) {
+                    prefetch(&self.rows[id as usize]);
                 }
             }
             for (&h, row) in hashes.iter().zip(group) {
@@ -175,13 +130,7 @@ impl SetRelation {
     /// Panics if no index covers `col` (a planner bug, not a user error).
     #[inline]
     pub fn probe_ids(&self, col: usize, key: u64) -> &[u32] {
-        self.postings
-            .iter()
-            .find(|(c, _)| *c == col)
-            .expect("probe on unindexed column")
-            .1
-            .get(&key)
-            .map_or(&[], Vec::as_slice)
+        self.postings.ids(col, key)
     }
 
     /// Streams every row once, in insertion order. The iterator type is
@@ -197,80 +146,20 @@ impl SetRelation {
         self.rows
     }
 
-    #[inline]
-    fn home(&self, h: u64) -> usize {
-        (h >> (64 - self.bits)) as usize
-    }
-
-    /// The row id in the first slot of `h`'s probe run whose tag matches
-    /// `h` — the likely duplicate, if there is one.
-    #[inline]
-    fn first_tag_match(&self, h: u64) -> Option<usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(h);
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                return None;
-            }
-            if s & TAG == h & TAG {
-                return Some((s as u32 - 1) as usize);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// `Ok(row id)` when `t` (with hash `h`) is present, else `Err(the
+    /// `Ok(slot)` when `t` (with hash `h`) is present, else `Err(the
     /// empty slot where it belongs)`.
     #[inline]
     fn find(&self, h: u64, t: &Tuple) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(h);
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                return Err(i);
-            }
-            let id = (s as u32 - 1) as usize;
-            if s & TAG == h & TAG && self.rows[id].values() == t.values() {
-                return Ok(id);
-            }
-            i = (i + 1) & mask;
-        }
+        self.table
+            .find(h, t.values(), |id| self.rows[id as usize].values())
     }
 
     /// Stores new row `t` (hash `h`) in the empty `slot` `find` returned.
     fn append(&mut self, slot: usize, h: u64, t: Tuple) {
-        let id = u32::try_from(self.rows.len())
-            .ok()
-            .filter(|&id| id < u32::MAX)
-            .expect("set relation exceeds u32 row ids");
-        self.slots[slot] = (h & TAG) | (id as u64 + 1);
-        for (col, map) in &mut self.postings {
-            map.entry(t.key(*col)).or_default().push(id);
-        }
+        let id = next_row_id(self.rows.len());
+        self.table.insert(slot, h, id);
+        self.postings.add(id, t.values());
         self.rows.push(t);
-    }
-
-    /// Keeps the table at most half full after `additional` more rows.
-    fn reserve(&mut self, additional: usize) {
-        let need = (self.rows.len() + additional) * 2;
-        if need <= self.slots.len() {
-            return;
-        }
-        let bits = need.next_power_of_two().trailing_zeros();
-        assert!(bits <= 32, "set relation exceeds 2^31 rows");
-        let mut slots = vec![0u64; 1 << bits];
-        let mask = slots.len() - 1;
-        for &s in self.slots.iter().filter(|&&s| s != 0) {
-            let mut i = (s >> (64 - bits)) as usize;
-            while slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            slots[i] = s;
-        }
-        self.slots = slots;
-        self.bits = bits;
     }
 }
 
